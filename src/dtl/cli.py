@@ -24,11 +24,10 @@ from .lattice import (
     GramForm,
     LatticeKind,
     all_triples_census,
+    census,
     census_series,
-    general_lattice_census,
     grid_census,
     ratio_fit,
-    tri_lattice_census,
 )
 from .pointset_io import ExactPointSet, ground_set_from_file, load_point_file
 from .rotation import (
@@ -195,20 +194,14 @@ def _cmd_census(args, sink: _Sink) -> int:
         return 0
     if args.n is None:
         raise DtlError("census requires --n or --series")
-    if kind.name == "square":
-        c = grid_census(args.n, args.include_degenerate, args.workers)
-    elif kind.name == "triangular":
-        c = tri_lattice_census(args.n, args.include_degenerate, args.workers)
-    else:
-        c = general_lattice_census(kind.gram, args.n, args.include_degenerate, args.workers)
-    sink.line(_census_row(c))
+    sink.line(_census_row(census(kind, args.n, args.include_degenerate, args.workers)))
     return 0
 
 
 def _cmd_rotatable(args, sink: _Sink) -> int:
     t0 = time.monotonic()
     if args.count_triangles:
-        b = count_rotatable_triangles(args.n, args.workers)
+        b = count_rotatable_triangles(args.n)
         sink.json(
             {
                 "op": "count-rotatable-triangles",
@@ -418,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-    workers_default = os.cpu_count() or 1
 
     def add_out(p):
         p.add_argument("--out", help="write payload to this file plus a run manifest")
@@ -435,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=True,
         help="count collinear shapes (default: yes)",
     )
-    p.add_argument("--workers", type=int, default=workers_default)
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     add_out(p)
     p.set_defaults(func=_cmd_census)
 
@@ -443,7 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--triple", help="p,q,r primitive Pythagorean triple")
     p.add_argument("--count-triangles", action="store_true")
-    p.add_argument("--workers", type=int, default=workers_default)
     add_out(p)
     p.set_defaults(func=_cmd_rotatable)
 

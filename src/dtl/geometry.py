@@ -44,9 +44,6 @@ def sq_dist(p: QPoint, q: QPoint) -> QScalar:
     return dx * dx + dy * dy
 
 
-Scalarish = "QScalar | int"
-
-
 @dataclass(frozen=True)
 class TriangleShape:
     """Canonical congruence-class key: squared side lengths with s1 <= s2 <= s3."""

@@ -15,7 +15,7 @@ import enum
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -159,8 +159,7 @@ def _sorted_unique(arrays: list[np.ndarray]) -> np.ndarray:
 class _KeyAccumulator:
     """Collects packed keys, merging in bounded batches to cap peak memory."""
 
-    def __init__(self, flush_at: int = _FLUSH_KEYS):
-        self.flush_at = flush_at
+    def __init__(self):
         self.acc: np.ndarray | None = None
         self.pending: list[np.ndarray] = []
         self.pending_size = 0
@@ -170,7 +169,7 @@ class _KeyAccumulator:
             return
         self.pending.append(arr)
         self.pending_size += arr.size
-        if self.pending_size >= self.flush_at:
+        if self.pending_size >= _FLUSH_KEYS:
             self._flush()
 
     def _flush(self) -> None:
@@ -187,28 +186,24 @@ class _KeyAccumulator:
 
 # ---------------------------------------------------------------------------
 # Chunked pair enumeration (worker tasks)
+#
+# A task carries everything its chunk needs, so a chunk is a pure function of
+# its task and gives the same keys under any multiprocessing start method.
 
-_STATE: dict = {}
 
+def _anchored_chunk(task: tuple) -> np.ndarray:
+    """Packed shape keys for pairs (i, j), i in [lo, hi), j > i, deduplicated.
 
-def _init_anchored(n: int, qa: int, qb: int, qc: int, anchor: tuple[int, int]) -> int:
-    """Populate the module-level kernel state; returns number of points."""
+    The task is (n, (qa, qb, qc), anchor, (lo, hi)); the points are the n x n
+    coefficient grid minus the anchor, as deltas from the anchor.
+    """
+    n, (qa, qb, qc), anchor, (lo, hi) = task
     u, v = np.meshgrid(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64))
     u, v = u.ravel(), v.ravel()
     keep = ~((u == anchor[0]) & (v == anchor[1]))
     du, dv = u[keep] - anchor[0], v[keep] - anchor[1]
     w = qa * du * du + qb * du * dv + qc * dv * dv
-    _STATE.update(
-        du=du, dv=dv, w=w, qa=qa, qb=qb, qc=qc, width=_field_width(n, qa, qb, qc)
-    )
-    return du.size
-
-
-def _anchored_chunk(bounds: tuple[int, int]) -> np.ndarray:
-    """Packed shape keys for pairs (i, j), i in [lo, hi), j > i, deduplicated."""
-    lo, hi = bounds
-    du, dv, w = _STATE["du"], _STATE["dv"], _STATE["w"]
-    qa, qb, qc, width = _STATE["qa"], _STATE["qb"], _STATE["qc"], _STATE["width"]
+    width = _field_width(n, qa, qb, qc)
     out = []
     for i in range(lo, hi):
         dx = du[i] - du[i + 1 :]
@@ -220,131 +215,19 @@ def _anchored_chunk(bounds: tuple[int, int]) -> np.ndarray:
     return _sorted_unique(out)
 
 
-def _pair_chunk_bounds(npts: int) -> list[tuple[int, int]]:
-    """Deterministic i-ranges with roughly _CHUNK_PAIRS pairs each."""
-    bounds = []
-    lo = 0
-    pairs = 0
-    for i in range(npts):
-        pairs += npts - i - 1
-        if pairs >= _CHUNK_PAIRS or i == npts - 1:
-            bounds.append((lo, i + 1))
-            lo, pairs = i + 1, 0
-    return bounds
+def _delta_chunk(task: tuple) -> np.ndarray:
+    """Packed shape keys for delta pairs (d1, d2), d1 in [lo, hi), deduplicated.
 
-
-def _run_chunks(fn, tasks, workers: int, acc: _KeyAccumulator) -> None:
-    if workers <= 1 or len(tasks) <= 1:
-        for t in tasks:
-            acc.add(fn(t))
-        return
-    # Children inherit _STATE via fork; the merge is a set union, so the
-    # result is independent of scheduling order.
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for arr in pool.map(fn, tasks, chunksize=1):
-            acc.add(arr)
-
-
-def _census_result(
-    kind: str, n: int, include_degenerate: bool, workers: int,
-    keys: np.ndarray, width: int, t0: float,
-) -> ShapeCensus:
-    distinct = keys.size if include_degenerate else _nondegenerate_count(keys, width)
-    return ShapeCensus(
-        kind=kind,
-        n=n,
-        include_degenerate=include_degenerate,
-        distinct=distinct,
-        elapsed_ms=(time.monotonic() - t0) * 1000.0,
-        workers=workers,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Public census operations
-
-
-def _anchored_census_keys(
-    n: int, gram: GramForm, anchors: list[tuple[int, int]], workers: int
-) -> tuple[np.ndarray, int]:
-    qa, qb, qc = gram.integer_scaled()
-    acc = _KeyAccumulator()
-    width = _field_width(n, qa, qb, qc)
-    for anchor in anchors:
-        npts = _init_anchored(n, qa, qb, qc, anchor)
-        _run_chunks(_anchored_chunk, _pair_chunk_bounds(npts), workers, acc)
-    _STATE.clear()
-    return acc.result(), width
-
-
-def grid_census(n: int, include_degenerate: bool = True, workers: int = 1) -> ShapeCensus:
-    """Distinct triangle shapes over all triples of the n x n square grid.
-
-    Every grid triangle is congruent to one with a vertex at the origin, so
-    only origin-anchored pairs are enumerated.
+    The task is (n, (qa, qb, qc), (lo, hi)); the deltas are the (2n-1)^2
+    coefficient differences of the n x n box, in flat row-major order.
     """
-    if n < 2:
-        raise PreconditionError("grid census needs n >= 2")
-    t0 = time.monotonic()
-    keys, width = _anchored_census_keys(n, SQUARE_GRAM, [(0, 0)], workers)
-    return _census_result("square", n, include_degenerate, workers, keys, width, t0)
-
-
-def tri_lattice_census(
-    n: int, include_degenerate: bool = True, workers: int = 1
-) -> ShapeCensus:
-    """Distinct triangle shapes over all triples of the n x n triangular lattice.
-
-    In coefficient coordinates the region is a rhombus with 60-degree corners
-    at (0,0) and (n-1,n-1) and 120-degree corners at (n-1,0) and (0,n-1); it
-    holds n^2 points. Anchoring at one corner of each kind covers every shape.
-    """
-    if n < 2:
-        raise PreconditionError("triangular census needs n >= 2")
-    t0 = time.monotonic()
-    keys, width = _anchored_census_keys(
-        n, TRIANGULAR_GRAM, [(0, 0), (n - 1, 0)], workers
-    )
-    return _census_result("triangular", n, include_degenerate, workers, keys, width, t0)
-
-
-def general_lattice_census(
-    gram: GramForm, n: int, include_degenerate: bool = True, workers: int = 1
-) -> ShapeCensus:
-    """Distinct triangle shapes in the n x n coefficient box of an arbitrary
-    positive-definite lattice, via translation reduction over delta pairs.
-
-    The bounding-box corner argument is specific to forms with extra symmetry,
-    so this path only quotients by translation: it enumerates pairs of deltas
-    (d1, d2) whose coordinate span fits in the box.
-    """
-    if n < 2:
-        raise PreconditionError("general census needs n >= 2")
-    t0 = time.monotonic()
-    qa, qb, qc = gram.integer_scaled()
-    width = _field_width(n, qa, qb, qc)
-    side = 2 * n - 1
-    coords = np.arange(side, dtype=np.int64) - (n - 1)
+    n, (qa, qb, qc), (lo, hi) = task
+    coords = np.arange(2 * n - 1, dtype=np.int64) - (n - 1)
     d2u, d2v = np.meshgrid(coords, coords)
     d2u, d2v = d2u.ravel(), d2v.ravel()
     w2 = qa * d2u * d2u + qb * d2u * d2v + qc * d2v * d2v
     flat = np.arange(d2u.size)
-    acc = _KeyAccumulator()
-    _STATE.update(
-        d2u=d2u, d2v=d2v, w2=w2, flat=flat, qa=qa, qb=qb, qc=qc, width=width, n=n
-    )
-    tasks = [(i, min(i + 64, d2u.size)) for i in range(0, d2u.size, 64)]
-    _run_chunks(_delta_chunk, tasks, workers, acc)
-    _STATE.clear()
-    keys = acc.result()
-    return _census_result("general", n, include_degenerate, workers, keys, width, t0)
-
-
-def _delta_chunk(bounds: tuple[int, int]) -> np.ndarray:
-    lo, hi = bounds
-    d2u, d2v, w2, flat = _STATE["d2u"], _STATE["d2v"], _STATE["w2"], _STATE["flat"]
-    qa, qb, qc = _STATE["qa"], _STATE["qb"], _STATE["qc"]
-    width, n = _STATE["width"], _STATE["n"]
+    width = _field_width(n, qa, qb, qc)
     out = []
     for i1 in range(lo, hi):
         u1, v1 = int(d2u[i1]), int(d2v[i1])
@@ -364,6 +247,118 @@ def _delta_chunk(bounds: tuple[int, int]) -> np.ndarray:
     if not out:
         return np.empty(0, dtype=np.int64)
     return _sorted_unique(out)
+
+
+def _pair_chunk_bounds(npts: int) -> list[tuple[int, int]]:
+    """Deterministic i-ranges with roughly _CHUNK_PAIRS pairs each."""
+    bounds = []
+    lo = 0
+    pairs = 0
+    for i in range(npts):
+        pairs += npts - i - 1
+        if pairs >= _CHUNK_PAIRS or i == npts - 1:
+            bounds.append((lo, i + 1))
+            lo, pairs = i + 1, 0
+    return bounds
+
+
+def _run_chunks(fn, tasks: list[tuple], workers: int) -> np.ndarray:
+    """Sorted distinct keys over all tasks; the merge is a set union, so the
+    result does not depend on the number of workers or on scheduling order."""
+    acc = _KeyAccumulator()
+    if workers <= 1 or len(tasks) <= 1:
+        for t in tasks:
+            acc.add(fn(t))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for arr in pool.map(fn, tasks, chunksize=1):
+                acc.add(arr)
+    return acc.result()
+
+
+def _census(
+    kind: LatticeKind, n: int, include_degenerate: bool, workers: int,
+    anchors: list[tuple[int, int]] | None,
+) -> ShapeCensus:
+    """Anchored census when `anchors` is given, else translation-only."""
+    if n < 2:
+        raise PreconditionError(f"{kind.name} census needs n >= 2")
+    t0 = time.monotonic()
+    q = kind.gram.integer_scaled()
+    width = _field_width(n, *q)
+    if anchors is None:
+        ndeltas = (2 * n - 1) ** 2
+        tasks = [(n, q, (i, min(i + 64, ndeltas))) for i in range(0, ndeltas, 64)]
+        keys = _run_chunks(_delta_chunk, tasks, workers)
+    else:
+        # One task list over all anchors, so one pool serves the whole census.
+        bounds = _pair_chunk_bounds(n * n - 1)
+        tasks = [(n, q, anchor, b) for anchor in anchors for b in bounds]
+        keys = _run_chunks(_anchored_chunk, tasks, workers)
+    distinct = keys.size if include_degenerate else _nondegenerate_count(keys, width)
+    return ShapeCensus(
+        kind=kind.name,
+        n=n,
+        include_degenerate=include_degenerate,
+        distinct=distinct,
+        elapsed_ms=(time.monotonic() - t0) * 1000.0,
+        workers=workers,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Public census operations
+
+
+def census(
+    kind: LatticeKind, n: int, include_degenerate: bool = True, workers: int = 1
+) -> ShapeCensus:
+    """Distinct triangle shapes over all triples of the n x n region of `kind`.
+
+    The single census entry point: square and triangular kinds use their
+    anchored reductions, any other kind the translation-only general path.
+    Counts do not depend on `workers` or on the multiprocessing start method.
+    """
+    if kind.name == "square":
+        return grid_census(n, include_degenerate, workers)
+    if kind.name == "triangular":
+        return tri_lattice_census(n, include_degenerate, workers)
+    return general_lattice_census(kind.gram, n, include_degenerate, workers)
+
+
+def grid_census(n: int, include_degenerate: bool = True, workers: int = 1) -> ShapeCensus:
+    """Distinct triangle shapes over all triples of the n x n square grid.
+
+    Every grid triangle is congruent to one with a vertex at the origin, so
+    only origin-anchored pairs are enumerated.
+    """
+    return _census(LatticeKind.square(), n, include_degenerate, workers, [(0, 0)])
+
+
+def tri_lattice_census(
+    n: int, include_degenerate: bool = True, workers: int = 1
+) -> ShapeCensus:
+    """Distinct triangle shapes over all triples of the n x n triangular lattice.
+
+    In coefficient coordinates the region is a rhombus with 60-degree corners
+    at (0,0) and (n-1,n-1) and 120-degree corners at (n-1,0) and (0,n-1); it
+    holds n^2 points. Anchoring at one corner of each kind covers every shape.
+    """
+    anchors = [(0, 0), (n - 1, 0)]
+    return _census(LatticeKind.triangular(), n, include_degenerate, workers, anchors)
+
+
+def general_lattice_census(
+    gram: GramForm, n: int, include_degenerate: bool = True, workers: int = 1
+) -> ShapeCensus:
+    """Distinct triangle shapes in the n x n coefficient box of an arbitrary
+    positive-definite lattice, via translation reduction over delta pairs.
+
+    The bounding-box corner argument is specific to forms with extra symmetry,
+    so this path only quotients by translation: it enumerates pairs of deltas
+    (d1, d2) whose coordinate span fits in the box.
+    """
+    return _census(LatticeKind.general(gram), n, include_degenerate, workers, None)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +426,6 @@ class SeriesRow:
     workers: int
 
 
-_CENSUS_FNS = {
-    "square": lambda n, deg, w: grid_census(n, deg, w),
-    "triangular": lambda n, deg, w: tri_lattice_census(n, deg, w),
-}
-
-
 def census_series(
     kind: LatticeKind,
     n_values: list[int],
@@ -450,10 +439,7 @@ def census_series(
         raise PreconditionError("n_values must be ascending")
     rows = []
     for n in n_values:
-        if kind.name in _CENSUS_FNS:
-            c = _CENSUS_FNS[kind.name](n, include_degenerate, workers)
-        else:
-            c = general_lattice_census(kind.gram, n, include_degenerate, workers)
+        c = census(kind, n, include_degenerate, workers)
         rows.append(
             SeriesRow(c.kind, c.n, c.include_degenerate, c.distinct, c.ratio,
                       c.elapsed_ms, c.workers)

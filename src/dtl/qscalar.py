@@ -145,6 +145,9 @@ class QScalar:
         return self.rat == other.rat and self.rad == other.rad and self.disc == other.disc
 
     def __hash__(self) -> int:
+        # A rational value equals its int or Fraction, so it hashes like one.
+        if self.rad == 0:
+            return hash(self.rat)
         return hash((self.rat, self.rad, self.disc))
 
     # -- conversion / display ----------------------------------------------

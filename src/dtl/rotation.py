@@ -185,7 +185,7 @@ class RotatableBreakdown:
         assert self.total == self.three_on_box + self.two_on_box
 
 
-def count_rotatable_triangles(n: int, workers: int = 1,
+def count_rotatable_triangles(n: int,
                               limit: int = ROTATABLE_TRIANGLE_LIMIT) -> RotatableBreakdown:
     """Exact count of rotatable origin-vertex triangles in [n] x [n], broken
     down by bounding-box class. Desk-scale: refuses n above `limit`."""
@@ -255,27 +255,34 @@ def _shape_key(a: Point, b: Point) -> tuple[int, int, int]:
     return tuple(sorted((_sq(a), _sq(b), _sq(d))))
 
 
-def _check_minimal_preconditions(a: Point, b: Point) -> None:
+_AXIS_PARALLEL = "axis-parallel side: minimal congruency set undefined"
+
+
+def _minimal_set_undefined(a: Point, b: Point) -> str | None:
+    """Why {O, a, b} has no minimal congruency set, or None if it has one."""
     if a == ORIGIN or b == ORIGIN or a == b:
-        raise PreconditionError("degenerate: O, a, b must be pairwise distinct")
+        return "degenerate: O, a, b must be pairwise distinct"
     if min(a + b) < 0:
-        raise PreconditionError("triangle must lie in the first quadrant")
+        return "triangle must lie in the first quadrant"
     s1, s2, s3 = _shape_key(a, b)
     if s1 == s2 or s2 == s3:
-        raise PreconditionError("isosceles triangle has no minimal congruency set")
+        return "isosceles triangle has no minimal congruency set"
     if s1 + s2 == s3:
-        raise PreconditionError("right triangle has no minimal congruency set")
+        return "right triangle has no minimal congruency set"
     if 2 * (s1 * s2 + s2 * s3 + s3 * s1) - s1 * s1 - s2 * s2 - s3 * s3 == 0:
-        raise PreconditionError("degenerate triangle has no minimal congruency set")
+        return "degenerate triangle has no minimal congruency set"
     if 0 in (a[0], a[1], b[0], b[1]) or a[0] == b[0] or a[1] == b[1]:
-        raise PreconditionError("axis-parallel side: minimal congruency set undefined")
+        return _AXIS_PARALLEL
+    return None
 
 
 def minimal_congruency_set(a: Point, b: Point) -> set[Triangle]:
     """The 2- or 4-element set of origin-vertex triangles forced congruent to
     {O, a, b} by grid symmetry (transpose, and vertex-difference for the
     two-on-box type)."""
-    _check_minimal_preconditions(a, b)
+    reason = _minimal_set_undefined(a, b)
+    if reason is not None:
+        raise PreconditionError(reason)
     t = lambda p: (p[1], p[0])
     if bounding_box_class(a, b) is BoundingBoxClass.THREE_ON_BOX:
         tris = [(a, b), (t(a), t(b))]
@@ -331,10 +338,9 @@ def verify_minimality(n: int, limit: int = MINIMALITY_LIMIT) -> MinimalityReport
     violations = []
     for i, a in enumerate(pts):
         for b in pts[i + 1 :]:
-            try:
-                _check_minimal_preconditions(a, b)
-            except PreconditionError as e:
-                if "axis-parallel" in str(e):
+            reason = _minimal_set_undefined(a, b)
+            if reason is not None:
+                if reason == _AXIS_PARALLEL:
                     skipped_axis += 1
                 continue
             if any(a in s and b in s for _, s in triple_sets):

@@ -1,5 +1,6 @@
 """Lattice shape censuses: reductions vs. brute force, determinism, series."""
 
+import multiprocessing
 import os
 
 import pytest
@@ -9,8 +10,10 @@ from dtl.lattice import (
     BoundingBoxClass,
     GramForm,
     LatticeKind,
+    TRIANGULAR_GRAM,
     all_triples_census,
     bounding_box_class,
+    census,
     census_series,
     general_lattice_census,
     grid_census,
@@ -96,13 +99,36 @@ def test_gram_positive_definite_required():
         GramForm(0, 0, 1)
 
 
-def test_determinism_across_workers():
+@pytest.fixture(params=["fork", "spawn", "forkserver"])
+def start_method(request):
+    prev = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield request.param
+    multiprocessing.set_start_method(prev, force=True)
+
+
+def test_determinism_across_workers(start_method):
+    # Each input has several chunk tasks (3 for the grid, 3 per anchor for the
+    # triangle, 9 for the general path), so workers > 1 starts a pool. The
+    # counts are the single-process results.
     for w in (1, 2, 8):
-        assert grid_census(9, True, workers=w).distinct == grid_census(9).distinct
-        assert (
-            tri_lattice_census(9, True, workers=w).distinct
-            == tri_lattice_census(9).distinct
-        )
+        assert grid_census(64, workers=w).distinct == 2_933_509
+        assert tri_lattice_census(64, False, workers=w).distinct == 3_651_133
+        assert general_lattice_census(TRIANGULAR_GRAM, 12, workers=w).distinct == 4_070
+
+
+def test_census_dispatch():
+    gram = GramForm(1, 0, 2)
+    cases = [
+        (SQUARE, grid_census(5)),
+        (TRIANGULAR, tri_lattice_census(5)),
+        (LatticeKind.general(gram), general_lattice_census(gram, 5)),
+    ]
+    for kind, named in cases:
+        c = census(kind, 5)
+        assert (c.kind, c.distinct) == (named.kind, named.distinct)
+        with pytest.raises(PreconditionError):
+            census(kind, 1)
 
 
 def test_monotone_in_n():

@@ -74,6 +74,9 @@ def test_hash_consistent_with_eq():
     assert hash(QScalar(1, 2, 1)) == hash(QScalar(3))
     s = {QScalar(3), QScalar(1, 2, 1), SQRT2}
     assert len(s) == 2
+    # a rational QScalar equals its int or Fraction, so it must hash like one
+    assert 3 in {QScalar(3)}
+    assert F(1, 2) in {QScalar(F(1, 2))}
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
