@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DtlError
-from .geometry import distinct_triangle_count
+from .geometry import DEFAULT_TOLERANCE, TriangleShape, is_degenerate
 from .lattice import (
     GramForm,
     LatticeKind,
@@ -29,7 +29,7 @@ from .lattice import (
     grid_census,
     ratio_fit,
 )
-from .pointset_io import ExactPointSet, ground_set_from_file, load_point_file
+from .pointset_io import ground_set_from_file
 from .rotation import (
     PythTriple,
     constant_sum,
@@ -42,7 +42,6 @@ from .rotation import (
     verify_minimality,
 )
 from .search import (
-    DEFAULT_TOLERANCE,
     grid_ground_set,
     make_ngon_ground_set,
     max_subset_with_k_shapes,
@@ -149,6 +148,13 @@ def _parse_series(text: str) -> list[int]:
     if step < 1 or hi < lo:
         raise DtlError(f"bad series {text!r}")
     return list(range(lo, hi + 1, step))
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _lattice_kind(args) -> LatticeKind:
@@ -374,18 +380,15 @@ def _cmd_search(args, sink: _Sink) -> int:
 
 def _cmd_pointset(args, sink: _Sink) -> int:
     sink.note_input(args.file)
-    data = load_point_file(args.file)
-    if isinstance(data, ExactPointSet):
-        count, shapes = distinct_triangle_count(data.points, args.include_degenerate)
-        sink.line(f"distinct_triangles,{count}")
-        for s in shapes:
-            sink.line(f"shape,{s.s1},{s.s2},{s.s3}")
-        return 0
     ground = ground_set_from_file(args.file, args.tolerance)
-    shapes = ground.distinct_shapes(range(ground.size))
+    shapes = ground.sorted_sides()
+    if not args.include_degenerate:
+        if ground.mode == "float":
+            raise DtlError("float files have no exact degeneracy test; drop --no-include-degenerate")
+        shapes = [s for s in shapes if not is_degenerate(TriangleShape(*s))]
     sink.line(f"distinct_triangles,{len(shapes)}")
-    for s in sorted(shapes):
-        sink.line("shape," + ",".join(str(x) for x in s))
+    for s in shapes:
+        sink.line("shape," + ",".join(map(str, s)))
     return 0
 
 
@@ -427,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=True,
         help="count collinear shapes (default: yes)",
     )
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1)
     add_out(p)
     p.set_defaults(func=_cmd_census)
 

@@ -1,15 +1,19 @@
-"""Exact planar points, triangle shapes, and congruence predicates.
+"""Exact planar points, triangle shapes, congruence predicates, and ground sets.
 
 A "triangle" is an unordered triple of distinct points, collinear triples
 included. Its shape key is the sorted triple of squared side lengths, which
 identifies the congruence class (SSS). All side lengths are kept squared so
 everything stays inside one quadratic field.
+
+A ground set is a point configuration given by exact coordinates, an exact
+squared-distance matrix, or float coordinates compared under a tolerance.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -178,30 +182,120 @@ def classify_congruence(a: QPoint, b: QPoint, c: QPoint, d: QPoint) -> Congruenc
     return flags
 
 
+DEFAULT_TOLERANCE = 1e-9
+
+
+@dataclass(frozen=True)
+class GroundSet:
+    """A finite point configuration with its squared distances interned.
+
+    `values` holds the distinct squared distances in ascending order, and
+    `_rank[i][j]` is the index into `values` of the squared distance between
+    points i and j (-1 on the diagonal). Ranks keep the order of the values,
+    so the sorted rank triple of a triangle is its shape key.
+    """
+
+    label: str
+    mode: str  # "coordinates" | "distance-matrix" | "float"
+    size: int
+    values: tuple
+    _rank: tuple  # size rows of size ints
+
+    def sq_distance(self, i: int, j: int):
+        if i == j:
+            raise PreconditionError("squared distance needs distinct indices")
+        return self.values[self._rank[i][j]]
+
+    def shape_key(self, i: int, j: int, k: int) -> tuple[int, int, int]:
+        r = self._rank
+        key = sorted((r[i][j], r[i][k], r[j][k]))
+        if key[0] < 0:
+            raise PreconditionError("shape key needs three distinct indices")
+        return tuple(key)
+
+    def distinct_shapes(self, indices: Iterable[int]) -> set[tuple[int, int, int]]:
+        """Shape keys over all triples of `indices`."""
+        key = self.shape_key
+        return {key(a, b, c) for a, b, c in combinations(indices, 3)}
+
+    def sorted_sides(self) -> list[tuple]:
+        """Squared sides (s1 <= s2 <= s3) of each distinct shape of the set, ascending."""
+        keys = sorted(self.distinct_shapes(range(self.size)))
+        return [tuple(self.values[r] for r in key) for key in keys]
+
+
+def _from_ranks(label: str, mode: str, n: int, ranks: list[int], values: list) -> GroundSet:
+    """Spreads upper-triangle, row-major pair ranks into a symmetric table."""
+    rows = [[-1] * n for _ in range(n)]
+    for (i, j), r in zip(combinations(range(n), 2), ranks):
+        rows[i][j] = rows[j][i] = r
+    return GroundSet(label, mode, n, tuple(values), tuple(map(tuple, rows)))
+
+
+def _interned_exact(label: str, mode: str, n: int, dist: list[QScalar]) -> GroundSet:
+    values = sorted(set(dist))
+    rank = {v: r for r, v in enumerate(values)}
+    return _from_ranks(label, mode, n, [rank[d] for d in dist], values)
+
+
+def ground_set_from_points(points: Sequence[QPoint], label: str = "points") -> GroundSet:
+    pairs = list(combinations(range(len(points)), 2))
+    dist = [sq_dist(points[i], points[j]) for i, j in pairs]
+    for (i, j), d in zip(pairs, dist):
+        if d.is_zero():
+            raise PreconditionError(f"duplicate points at indices {i}, {j}")
+    return _interned_exact(label, "coordinates", len(points), dist)
+
+
+def ground_set_from_matrix(
+    n: int, entries: Sequence[QScalar], label: str = "matrix"
+) -> GroundSet:
+    if len(entries) != n * (n - 1) // 2:
+        raise PreconditionError(
+            f"expected {n * (n - 1) // 2} upper-triangle entries, got {len(entries)}"
+        )
+    if any(e.sign() <= 0 for e in entries):
+        raise PreconditionError("squared distances must be positive")
+    return _interned_exact(label, "distance-matrix", n, list(entries))
+
+
+def ground_set_from_floats(
+    points: Sequence[tuple[float, float]],
+    tolerance: float = DEFAULT_TOLERANCE,
+    label: str = "float",
+) -> GroundSet:
+    """Tolerance path: squared distances are divided by the squared diameter
+    and sorted, and a new rank starts only where the gap to the previous
+    value exceeds `tolerance`. So values chained by gaps of at most the
+    tolerance share a rank, and a tolerance of 0 means exact float equality.
+    `values` holds the smallest raw squared distance of each rank."""
+    if not tolerance >= 0:
+        raise PreconditionError(f"tolerance must be >= 0, got {tolerance}")
+    raw = [(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in combinations(points, 2)]
+    diam = max(raw, default=0.0)
+    if diam <= 0:
+        raise PreconditionError("degenerate float point set")
+    ranks = [0] * len(raw)
+    values: list[float] = []
+    prev = 0.0
+    for p in sorted(range(len(raw)), key=raw.__getitem__):
+        x = raw[p] / diam
+        if not values or x - prev > tolerance:
+            values.append(raw[p])
+        ranks[p] = len(values) - 1
+        prev = x
+    return _from_ranks(label, "float", len(points), ranks, values)
+
+
 def distinct_triangle_count(
     points: Sequence[QPoint], include_degenerate: bool = True
 ) -> tuple[int, list[TriangleShape]]:
-    """Number of distinct triangle shapes over all C(n,3) triples of the set."""
-    pts = list(points)
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pts[i] == pts[j]:
-                raise PreconditionError(f"duplicate point {pts[i]}")
-    # Precompute the squared distance matrix once; O(n^3) triple scan after.
-    d = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i][j] = d[j][i] = sq_dist(pts[i], pts[j])
-    shapes: set[TriangleShape] = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                s = TriangleShape(d[i][j], d[i][k], d[j][k])
-                if include_degenerate or not is_degenerate(s):
-                    shapes.add(s)
-    ordered = sorted(shapes, key=lambda s: (s.s1, s.s2, s.s3))
-    return len(ordered), ordered
+    """Number of distinct triangle shapes over all C(n,3) triples of the set,
+    and the shapes in ascending (s1, s2, s3) order."""
+    shapes = [TriangleShape(*s) for s in ground_set_from_points(list(points)).sorted_sides()]
+    if not include_degenerate:
+        shapes = [s for s in shapes if not is_degenerate(s)]
+    return len(shapes), shapes
 
 
 def diameter(points: Iterable[QPoint]) -> QScalar:
@@ -209,10 +303,4 @@ def diameter(points: Iterable[QPoint]) -> QScalar:
     pts = list(points)
     if len(pts) < 2:
         raise PreconditionError("diameter needs at least 2 points")
-    best = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = sq_dist(pts[i], pts[j])
-            if best is None or d > best:
-                best = d
-    return best
+    return max(sq_dist(p, q) for p, q in combinations(pts, 2))

@@ -270,7 +270,7 @@ def _run_chunks(fn, tasks: list[tuple], workers: int) -> np.ndarray:
         for t in tasks:
             acc.add(fn(t))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             for arr in pool.map(fn, tasks, chunksize=1):
                 acc.add(arr)
     return acc.result()

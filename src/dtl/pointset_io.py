@@ -17,10 +17,10 @@ from typing import Union
 
 from .errors import FormatError
 from .qscalar import QScalar, is_square_free
-from .geometry import QPoint
-from .search import (
+from .geometry import (
     DEFAULT_TOLERANCE,
     GroundSet,
+    QPoint,
     ground_set_from_floats,
     ground_set_from_matrix,
     ground_set_from_points,

@@ -1,10 +1,8 @@
 """Regular n-gon triangle combinatorics and exact maximum-subset search.
 
-A ground set is a finite point configuration given either by exact
-coordinates, by an exact squared-distance matrix (regular 5-/10-gons have no
-quadratic-field coordinates but their squared chords live in Q(sqrt(5))), or
-by float coordinates compared under a tolerance after normalizing the
-diameter to 1.
+The search runs over a `GroundSet` (see `geometry`). Regular 5-/10-gons have
+no quadratic-field coordinates, but their squared chords live in Q(sqrt(5)),
+so the exact n-gons are given by squared-distance matrices.
 """
 
 from __future__ import annotations
@@ -13,13 +11,20 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import CostGuardExceeded, PreconditionError
-from .geometry import QPoint, sq_dist
+from .geometry import (
+    DEFAULT_TOLERANCE,
+    GroundSet,
+    QPoint,
+    ground_set_from_floats,
+    ground_set_from_matrix,
+    ground_set_from_points,
+)
 from .qscalar import QScalar
 
-DEFAULT_TOLERANCE = 1e-9
 GROUND_SET_LIMIT = 64
 
 # Square chord lengths 4 sin^2(pi k / n) of the unit-circle regular n-gon,
@@ -73,84 +78,6 @@ def ngon_asymptotic_check(n_values: Sequence[int]) -> list[tuple[int, int, float
 
 # ---------------------------------------------------------------------------
 # Ground sets
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """A fixed finite point configuration with a shape-key oracle per triple."""
-
-    label: str
-    mode: str  # "coordinates" | "distance-matrix" | "float"
-    size: int
-    _dist: tuple  # upper-triangle squared distances, row-major, canonicalized
-
-    def sq_distance(self, i: int, j: int):
-        if i == j:
-            raise PreconditionError("squared distance needs distinct indices")
-        if i > j:
-            i, j = j, i
-        return self._dist[i * (2 * self.size - i - 1) // 2 + (j - i - 1)]
-
-    def shape_key(self, i: int, j: int, k: int):
-        return tuple(
-            sorted((self.sq_distance(i, j), self.sq_distance(i, k), self.sq_distance(j, k)))
-        )
-
-    def distinct_shapes(self, indices: Sequence[int]) -> set:
-        idx = list(indices)
-        shapes = set()
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                for c in range(b + 1, len(idx)):
-                    shapes.add(self.shape_key(idx[a], idx[b], idx[c]))
-        return shapes
-
-
-def ground_set_from_points(points: Sequence[QPoint], label: str = "points") -> GroundSet:
-    dist = []
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = sq_dist(points[i], points[j])
-            if d.is_zero():
-                raise PreconditionError(f"duplicate points at indices {i}, {j}")
-            dist.append(d)
-    return GroundSet(label, "coordinates", n, tuple(dist))
-
-
-def ground_set_from_matrix(
-    n: int, entries: Sequence[QScalar], label: str = "matrix"
-) -> GroundSet:
-    if len(entries) != n * (n - 1) // 2:
-        raise PreconditionError(
-            f"expected {n * (n - 1) // 2} upper-triangle entries, got {len(entries)}"
-        )
-    for e in entries:
-        if e.sign() <= 0:
-            raise PreconditionError("squared distances must be positive")
-    return GroundSet(label, "distance-matrix", n, tuple(entries))
-
-
-def ground_set_from_floats(
-    points: Sequence[tuple[float, float]],
-    tolerance: float = DEFAULT_TOLERANCE,
-    label: str = "float",
-) -> GroundSet:
-    """Tolerance path: squared distances are normalized by the squared
-    diameter and bucketed to a grid of width `tolerance`. Two true values
-    closer than the tolerance collapse into one bucket by design."""
-    n = len(points)
-    raw = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = points[i][0] - points[j][0]
-            dy = points[i][1] - points[j][1]
-            raw.append(dx * dx + dy * dy)
-    diam = max(raw)
-    if diam <= 0:
-        raise PreconditionError("degenerate float point set")
-    buckets = tuple(round(d / diam / tolerance) for d in raw)
-    return GroundSet(label, "float", n, buckets)
 
 
 def make_ngon_ground_set(n: int, tolerance: float = DEFAULT_TOLERANCE) -> GroundSet:
@@ -251,13 +178,8 @@ def max_subset_with_k_shapes(
 
 
 def _new_shapes(ground: GroundSet, chosen: list[int], i: int, have: set) -> set:
-    added = set()
-    for a in range(len(chosen)):
-        for b in range(a + 1, len(chosen)):
-            s = ground.shape_key(chosen[a], chosen[b], i)
-            if s not in have:
-                added.add(s)
-    return added
+    key = ground.shape_key
+    return {key(a, b, i) for a, b in combinations(chosen, 2)} - have
 
 
 def verify_subset(ground: GroundSet, indices: Sequence[int], k: int) -> bool:

@@ -1,9 +1,10 @@
 """Triangle shapes, congruence predicates, and distinct-triangle counting."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dtl.errors import PreconditionError
 from dtl.geometry import (
@@ -164,3 +165,31 @@ def test_degeneracy_iff_zero_area(a, b, c):
 @given(points, points)
 def test_sq_dist_symmetric(p, q):
     assert sq_dist(p, q) == sq_dist(q, p)
+
+
+# Q(sqrt 3) points: triangular-lattice points u*(1, 0) + v*(1/2, sqrt3/2), which
+# give many collinear triples and repeated shapes, and general ones.
+halves = st.integers(min_value=-3, max_value=3).map(lambda k: F(k, 2))
+q3 = st.builds(lambda r, t: QScalar(r, t, 3), halves, halves)
+small = st.integers(min_value=0, max_value=4)
+q3_points = st.one_of(
+    st.builds(lambda u, v: QPoint(u + F(v, 2), QScalar(0, F(v, 2), 3)), small, small),
+    st.builds(QPoint, q3, q3),
+)
+
+
+@given(st.lists(q3_points, max_size=8, unique=True), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_distinct_triangle_count_matches_naive_scan(pts, include_degenerate):
+    # Naive reference: one TriangleShape per triple, deduplicated by equality.
+    ref = {shape_of(a, b, c) for a, b, c in combinations(pts, 3)}
+    if not include_degenerate:
+        ref = {s for s in ref if not is_degenerate(s)}
+    count, shapes = distinct_triangle_count(pts, include_degenerate)
+    assert count == len(ref)
+    assert shapes == sorted(ref, key=TriangleShape.sides)
+
+
+def test_distinct_triangle_count_rejects_duplicates():
+    with pytest.raises(PreconditionError):
+        distinct_triangle_count([O, QPoint(1, 0), QPoint(1, 0)])

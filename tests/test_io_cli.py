@@ -165,6 +165,54 @@ def test_cli_pointset(tmp_path, capsys):
     assert out[0] == "distinct_triangles,3"
 
 
+# Collinear (0,0), (1,0), (2,0) plus (0,1): shapes (1,1,2), (1,2,5), (1,4,5)
+# and the degenerate (1,1,4).
+FLOAT_FOUR = "dtl-pointset v1 float\np 0 0\np 1 0\np 2 0\np 0 1\n"
+MATRIX_FOUR = "dtl-distmatrix v1 D=1 n=4\n1 0\n4 0\n1 0\n1 0\n2 0\n5 0\n"
+
+
+def test_cli_pointset_no_degenerate_distance_matrix(tmp_path, capsys):
+    f = tmp_path / "m.dtl"
+    f.write_text(MATRIX_FOUR)
+    assert run(["pointset", "--file", str(f)]) == 0
+    assert "shape,1,1,4" in capsys.readouterr().out.splitlines()
+    assert run(["pointset", "--file", str(f), "--no-include-degenerate"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "distinct_triangles,3", "shape,1,1,2", "shape,1,2,5", "shape,1,4,5"
+    ]
+
+
+def test_cli_pointset_no_degenerate_float_is_an_error(tmp_path, capsys):
+    f = tmp_path / "pts.dtl"
+    f.write_text(FLOAT_FOUR)
+    assert run(["pointset", "--file", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "distinct_triangles,4"
+    assert run(["pointset", "--file", str(f), "--no-include-degenerate"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "degeneracy" in captured.err
+
+
+@pytest.mark.parametrize("tol,code", [("0", 0), ("-1", 1), ("nan", 1)])
+def test_cli_pointset_tolerance(tmp_path, capsys, tol, code):
+    f = tmp_path / "pts.dtl"
+    f.write_text(FLOAT_FOUR)
+    assert run(["pointset", "--file", str(f), "--tolerance", tol]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out.splitlines() == [
+            "distinct_triangles,4", "shape,1.0,1.0,2.0", "shape,1.0,1.0,4.0",
+            "shape,1.0,2.0,5.0", "shape,1.0,4.0,5.0",
+        ]
+    else:
+        assert captured.out == "" and "tolerance" in captured.err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_census_workers_below_one_is_a_usage_error(capsys, workers):
+    assert run(["census", "--lattice", "square", "--n", "3", "--workers", workers]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # domain errors exit 1
     assert run(["census", "--lattice", "square", "--n", "0"]) == 1

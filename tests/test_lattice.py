@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from dtl import lattice
 from dtl.errors import CostGuardExceeded, PreconditionError
 from dtl.lattice import (
     BoundingBoxClass,
@@ -115,6 +116,29 @@ def test_determinism_across_workers(start_method):
         assert grid_census(64, workers=w).distinct == 2_933_509
         assert tri_lattice_census(64, False, workers=w).distinct == 3_651_133
         assert general_lattice_census(TRIANGULAR_GRAM, 12, workers=w).distinct == 4_070
+
+
+def test_pool_size_capped_at_task_count(monkeypatch):
+    # grid_census(64) has 3 chunk tasks; a pool asked for 6 workers would
+    # start 6 processes under fork.
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(lattice, "ProcessPoolExecutor", FakePool)
+    assert grid_census(64, workers=6).distinct == 2_933_509
+    assert asked == [3]
 
 
 def test_census_dispatch():

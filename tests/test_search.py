@@ -61,6 +61,30 @@ def test_exact_float_agreement(n):
     )
 
 
+def test_float_values_straddling_a_grid_edge_share_a_rank():
+    # |OP|^2 and |OR|^2 differ by 2e-12 after dividing by the squared diameter
+    # |PR|^2. A rounding grid of width tol would split them at (k + 1/2) * tol.
+    pts = [(0.0, 0.0), (0.1, 0.0), (0.0, math.sqrt(0.01 + 4e-14))]
+    raw = [(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in combinations(pts, 2)]
+    n1, n2 = raw[0] / raw[2], raw[1] / raw[2]
+    assert 1.5e-12 < n2 - n1 < 2.5e-12
+    tol = (n1 + n2) / 2 / (500_000_000 + 0.5)
+    assert round(n1 / tol) + 1 == round(n2 / tol)
+    ground = ground_set_from_floats(pts, tol)
+    assert ground.sq_distance(0, 1) == ground.sq_distance(0, 2) == raw[0]
+    assert ground.shape_key(0, 1, 2) == (0, 0, 1)
+
+
+def test_float_chain_within_tolerance_is_one_rank():
+    # |O P_i|^2 = 1 + i * tol / 2: each within tol of the next, 4 * tol end to end.
+    tol = 1e-6
+    pts = [(0.0, 0.0)] + [(math.sqrt(1 + i * tol / 2), 0.0) for i in range(9)]
+    ground = ground_set_from_floats(pts, tol)
+    assert {ground.sq_distance(0, i) for i in range(1, 10)} == {pts[1][0] ** 2}
+    exact = ground_set_from_floats(pts, 0)
+    assert len({exact.sq_distance(0, i) for i in range(1, 10)}) == 9
+
+
 def test_twelve_gon_alternating_hexagon():
     ground = make_ngon_ground_set(12)
     result = max_subset_with_k_shapes(ground, 3)
