@@ -26,7 +26,6 @@ from .lattice import (
     all_triples_census,
     census,
     census_series,
-    grid_census,
     ratio_fit,
 )
 from .pointset_io import ground_set_from_file
@@ -255,18 +254,21 @@ def _cmd_verify(args, sink: _Sink) -> int:
     if args.lemma == "origin-reduction":
         n_max = args.n or 6
         mismatches = []
-        for n in range(2, n_max + 1):
-            for deg in (True, False):
-                fast = grid_census(n, deg).distinct
-                slow = all_triples_census(n, LatticeKind.square(), deg).distinct
-                if fast != slow:
-                    mismatches.append({"n": n, "include_degenerate": deg,
-                                       "reduced": fast, "oracle": slow})
+        kinds = (LatticeKind.square(), LatticeKind.triangular())
+        for kind in kinds:
+            for n in range(2, n_max + 1):
+                for deg in (True, False):
+                    fast = census(kind, n, deg).distinct
+                    slow = all_triples_census(n, kind, deg).distinct
+                    if fast != slow:
+                        mismatches.append({"lattice": kind.name, "n": n,
+                                           "include_degenerate": deg,
+                                           "reduced": fast, "oracle": slow})
         sink.json(
             {
                 "op": "verify-origin-reduction",
                 "params": {"n_max": n_max},
-                "checked": 2 * (n_max - 1),
+                "checked": 2 * len(kinds) * (n_max - 1),
                 "violations": mismatches,
                 "pass": not mismatches,
                 "elapsed_ms": (time.monotonic() - t0) * 1000.0,

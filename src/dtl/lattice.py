@@ -5,8 +5,10 @@ Shape keys are triples of integer squared side lengths packed into a single
 int64 (three equal-width bit fields, sorted ascending), so deduplication is a
 sort-and-unique over numpy arrays. The square grid uses the origin-vertex
 reduction; the triangular lattice anchors at both inequivalent corners of the
-coefficient rhombus; general lattices fall back to the conservative
-translation-plus-span reduction.
+coefficient rhombus. Each anchor has a reflection that fixes it and maps the
+box and the form onto themselves (Lemma 3.1 for the square grid), so of each
+pair of anchored triangles it swaps only one is keyed. General lattices fall
+back to the conservative translation-plus-span reduction, unquotiented.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import CostGuardExceeded, PreconditionError
 
 DEFAULT_ORACLE_LIMIT = 8
-_CHUNK_PAIRS = 4_000_000  # target raw keys per task, fixed so results don't depend on workers
+_CHUNK_PAIRS = 4_000_000  # target pairs per task, fixed so results don't depend on workers
 _FLUSH_KEYS = 60_000_000  # pending keys buffered before merging into the accumulator
 
 
@@ -84,7 +86,7 @@ class ShapeCensus:
     include_degenerate: bool
     distinct: int
     elapsed_ms: float
-    workers: int
+    workers: int  # processes that ran the chunks: 1 when serial
 
     @property
     def ratio(self) -> float:
@@ -191,25 +193,57 @@ class _KeyAccumulator:
 # its task and gives the same keys under any multiprocessing start method.
 
 
-def _anchored_chunk(task: tuple) -> np.ndarray:
-    """Packed shape keys for pairs (i, j), i in [lo, hi), j > i, deduplicated.
-
-    The task is (n, (qa, qb, qc), anchor, (lo, hi)); the points are the n x n
-    coefficient grid minus the anchor, as deltas from the anchor.
+def _anchor_points(n: int, anchor: tuple[int, int], s: int):
+    """The n x n coefficient grid minus the anchor, as deltas (du, dv) from the
+    anchor in row-major order, and sigma: the anchor's fixing reflection
+    (du, dv) -> (s*dv, s*du) as an index map over those points (an involution).
     """
-    n, (qa, qb, qc), anchor, (lo, hi) = task
     u, v = np.meshgrid(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64))
     u, v = u.ravel(), v.ravel()
-    keep = ~((u == anchor[0]) & (v == anchor[1]))
-    du, dv = u[keep] - anchor[0], v[keep] - anchor[1]
+    ru, rv = anchor[0] + s * (v - anchor[1]), anchor[1] + s * (u - anchor[0])
+    inside = min(ru.min(), rv.min()) >= 0 and max(ru.max(), rv.max()) < n
+    assert inside, "the reflection must map the box onto itself"
+    a = anchor[1] * n + anchor[0]
+    keep = np.arange(n * n) != a
+    image = (rv * n + ru)[keep]
+    sigma = image - (image > a)  # full-grid index to point-list index
+    return u[keep] - anchor[0], v[keep] - anchor[1], sigma
+
+
+def _canonical_partners(sigma: np.ndarray, i: int) -> np.ndarray | None:
+    """Mask over j > i of the pairs (i, j) kept as the canonical member of the
+    orbit {(i, j), (sigma i, sigma j)}: (i, j) <= sorted(sigma i, sigma j).
+    None when row i keeps nothing."""
+    si = sigma[i]
+    if si < i:
+        return None
+    if si > i:
+        return sigma[i + 1 :] >= i
+    return sigma[i + 1 :] >= np.arange(i + 1, sigma.size)
+
+
+def _anchored_chunk(task: tuple) -> np.ndarray:
+    """Packed shape keys for the canonical pairs (i, j), i in [lo, hi), j > i,
+    deduplicated.
+
+    The task is (n, (qa, qb, qc), (anchor, s), (lo, hi)); the points are the
+    n x n coefficient grid minus the anchor, as deltas from the anchor, and s
+    is the sign of the anchor's fixing reflection.
+    """
+    n, (qa, qb, qc), (anchor, s), (lo, hi) = task
+    assert qa == qc, "the fixing reflection keeps only forms with qa == qc"
+    du, dv, sigma = _anchor_points(n, anchor, s)
     w = qa * du * du + qb * du * dv + qc * dv * dv
     width = _field_width(n, qa, qb, qc)
     out = []
     for i in range(lo, hi):
-        dx = du[i] - du[i + 1 :]
-        dy = dv[i] - dv[i + 1 :]
+        mask = _canonical_partners(sigma, i)
+        if mask is None:
+            continue
+        dx = du[i] - du[i + 1 :][mask]
+        dy = dv[i] - dv[i + 1 :][mask]
         dq = qa * dx * dx + qb * dx * dy + qc * dy * dy
-        out.append(_pack_sorted(w[i], w[i + 1 :], dq, width))
+        out.append(_pack_sorted(w[i], w[i + 1 :][mask], dq, width))
     if not out:
         return np.empty(0, dtype=np.int64)
     return _sorted_unique(out)
@@ -262,25 +296,28 @@ def _pair_chunk_bounds(npts: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _run_chunks(fn, tasks: list[tuple], workers: int) -> np.ndarray:
-    """Sorted distinct keys over all tasks; the merge is a set union, so the
-    result does not depend on the number of workers or on scheduling order."""
+def _run_chunks(fn, tasks: list[tuple], workers: int) -> tuple[np.ndarray, int]:
+    """Sorted distinct keys over all tasks, and the number of processes that
+    ran them; the merge is a set union, so the keys do not depend on the
+    number of workers or on scheduling order."""
     acc = _KeyAccumulator()
-    if workers <= 1 or len(tasks) <= 1:
+    used = min(workers, len(tasks))
+    if used <= 1:
         for t in tasks:
             acc.add(fn(t))
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            for arr in pool.map(fn, tasks, chunksize=1):
-                acc.add(arr)
-    return acc.result()
+        return acc.result(), 1
+    with ProcessPoolExecutor(max_workers=used) as pool:
+        for arr in pool.map(fn, tasks, chunksize=1):
+            acc.add(arr)
+    return acc.result(), used
 
 
 def _census(
     kind: LatticeKind, n: int, include_degenerate: bool, workers: int,
-    anchors: list[tuple[int, int]] | None,
+    anchors: list[tuple[tuple[int, int], int]] | None,
 ) -> ShapeCensus:
-    """Anchored census when `anchors` is given, else translation-only."""
+    """Anchored census when `anchors` is given, each anchor with the sign s of
+    its fixing reflection (du, dv) -> (s*dv, s*du); else translation-only."""
     if n < 2:
         raise PreconditionError(f"{kind.name} census needs n >= 2")
     t0 = time.monotonic()
@@ -289,12 +326,12 @@ def _census(
     if anchors is None:
         ndeltas = (2 * n - 1) ** 2
         tasks = [(n, q, (i, min(i + 64, ndeltas))) for i in range(0, ndeltas, 64)]
-        keys = _run_chunks(_delta_chunk, tasks, workers)
+        keys, used = _run_chunks(_delta_chunk, tasks, workers)
     else:
         # One task list over all anchors, so one pool serves the whole census.
         bounds = _pair_chunk_bounds(n * n - 1)
         tasks = [(n, q, anchor, b) for anchor in anchors for b in bounds]
-        keys = _run_chunks(_anchored_chunk, tasks, workers)
+        keys, used = _run_chunks(_anchored_chunk, tasks, workers)
     distinct = keys.size if include_degenerate else _nondegenerate_count(keys, width)
     return ShapeCensus(
         kind=kind.name,
@@ -302,7 +339,7 @@ def _census(
         include_degenerate=include_degenerate,
         distinct=distinct,
         elapsed_ms=(time.monotonic() - t0) * 1000.0,
-        workers=workers,
+        workers=used,
     )
 
 
@@ -330,9 +367,11 @@ def grid_census(n: int, include_degenerate: bool = True, workers: int = 1) -> Sh
     """Distinct triangle shapes over all triples of the n x n square grid.
 
     Every grid triangle is congruent to one with a vertex at the origin, so
-    only origin-anchored pairs are enumerated.
+    only origin-anchored pairs are enumerated, and by Lemma 3.1 {O, a, b} is
+    congruent to its transpose {O, a^T, b^T}, so only one pair of each
+    transpose orbit is keyed.
     """
-    return _census(LatticeKind.square(), n, include_degenerate, workers, [(0, 0)])
+    return _census(LatticeKind.square(), n, include_degenerate, workers, [((0, 0), 1)])
 
 
 def tri_lattice_census(
@@ -343,8 +382,10 @@ def tri_lattice_census(
     In coefficient coordinates the region is a rhombus with 60-degree corners
     at (0,0) and (n-1,n-1) and 120-degree corners at (n-1,0) and (0,n-1); it
     holds n^2 points. Anchoring at one corner of each kind covers every shape.
+    Each anchor's pairs are quotiented by the reflection that fixes it and the
+    rhombus: (u,v) -> (v,u) at (0,0) and (u,v) -> (n-1-v, n-1-u) at (n-1,0).
     """
-    anchors = [(0, 0), (n - 1, 0)]
+    anchors = [((0, 0), 1), ((n - 1, 0), -1)]
     return _census(LatticeKind.triangular(), n, include_degenerate, workers, anchors)
 
 

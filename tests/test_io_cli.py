@@ -1,10 +1,12 @@
 """Point-set file formats and command-line interface."""
 
+import dataclasses
 import json
 from fractions import Fraction as F
 
 import pytest
 
+from dtl import lattice
 from dtl.cli import run
 from dtl.errors import FormatError
 from dtl.geometry import QPoint
@@ -148,6 +150,24 @@ def test_cli_verify_origin_reduction(capsys):
     assert run(["verify", "--lemma", "origin-reduction", "--n", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["pass"] is True
+    # n = 2..4, both degenerate modes, square and triangular
+    assert payload["checked"] == 12
+
+
+def test_cli_verify_origin_reduction_names_the_lattice(capsys, monkeypatch):
+    real = lattice.tri_lattice_census
+
+    def off_by_one(n, include_degenerate=True, workers=1):
+        c = real(n, include_degenerate, workers)
+        return dataclasses.replace(c, distinct=c.distinct + 1)
+
+    monkeypatch.setattr(lattice, "tri_lattice_census", off_by_one)
+    assert run(["verify", "--lemma", "origin-reduction", "--n", "3"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is False
+    assert [(v["lattice"], v["n"]) for v in payload["violations"]] == [
+        ("triangular", 2), ("triangular", 2), ("triangular", 3), ("triangular", 3)
+    ]
 
 
 def test_cli_search(capsys):

@@ -1,8 +1,9 @@
 """Lattice shape censuses: reductions vs. brute force, determinism, series."""
 
 import multiprocessing
-import os
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 from dtl import lattice
@@ -118,9 +119,10 @@ def test_determinism_across_workers(start_method):
         assert general_lattice_census(TRIANGULAR_GRAM, 12, workers=w).distinct == 4_070
 
 
-def test_pool_size_capped_at_task_count(monkeypatch):
-    # grid_census(64) has 3 chunk tasks; a pool asked for 6 workers would
-    # start 6 processes under fork.
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces the process pool with an in-process one; returns the list of
+    the pool sizes asked for."""
     asked = []
 
     class FakePool:
@@ -137,8 +139,77 @@ def test_pool_size_capped_at_task_count(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(lattice, "ProcessPoolExecutor", FakePool)
+    return asked
+
+
+def test_pool_size_capped_at_task_count(pool_sizes):
+    # grid_census(64) has 3 chunk tasks; a pool asked for 6 workers would
+    # start 6 processes under fork.
     assert grid_census(64, workers=6).distinct == 2_933_509
-    assert asked == [3]
+    assert pool_sizes == [3]
+
+
+def test_census_reports_processes_used(pool_sizes):
+    assert grid_census(64, workers=6).workers == 3
+    # grid_census(5) has one chunk task, so it runs serially
+    assert grid_census(5, workers=4).workers == 1
+    assert general_lattice_census(TRIANGULAR_GRAM, 12, workers=2).workers == 2
+    assert pool_sizes == [3, 2]
+
+
+def _fixing_reflection(n, corner):
+    """(anchor, sign) as the censuses pass them, and the reflection on points."""
+    if corner == "origin":
+        return (0, 0), 1, lambda p: (p[1], p[0])
+    return (n - 1, 0), -1, lambda p: (n - 1 - p[1], n - 1 - p[0])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("corner", ["origin", "right"])
+def test_canonical_rule_keeps_one_pair_per_reflection_orbit(n, corner):
+    anchor, s, reflect = _fixing_reflection(n, corner)
+    pts = [(u, v) for v in range(n) for u in range(n) if (u, v) != anchor]
+    du, dv, sigma = lattice._anchor_points(n, anchor, s)
+    assert list(zip((du + anchor[0]).tolist(), (dv + anchor[1]).tolist())) == pts
+    kept = []
+    for i in range(len(pts)):
+        mask = lattice._canonical_partners(sigma, i)
+        if mask is not None:
+            kept += [frozenset({pts[i], pts[j]}) for j in np.flatnonzero(mask) + i + 1]
+
+    def orbit(pair):
+        return frozenset({frozenset(pair), frozenset(map(reflect, pair))})
+
+    pairs = list(combinations(pts, 2))
+    kept_orbits = [orbit(p) for p in kept]
+    assert len(set(kept_orbits)) == len(kept_orbits)  # at most one per orbit
+    assert set(kept_orbits) == {orbit(p) for p in pairs}  # at least one
+    fixed = sum(1 for p in pairs if frozenset(map(reflect, p)) == frozenset(p))
+    assert 2 * len(kept) == len(pairs) + fixed
+
+
+@pytest.mark.parametrize("deg", [True, False])
+def test_small_chunks_match_general_path(monkeypatch, deg):
+    # About 50 pairs per chunk at n = 12, so the reflection quotient meets
+    # every kind of chunk boundary, including chunks whose rows keep nothing.
+    monkeypatch.setattr(lattice, "_CHUNK_PAIRS", 50)
+    sizes = []
+    real = lattice._anchored_chunk
+
+    def recording(task):
+        keys = real(task)
+        sizes.append(keys.size)
+        return keys
+
+    monkeypatch.setattr(lattice, "_anchored_chunk", recording)
+    square = GramForm(1, 0, 1)
+    assert grid_census(12, deg).distinct == general_lattice_census(square, 12, deg).distinct
+    assert (
+        tri_lattice_census(12, deg).distinct
+        == general_lattice_census(TRIANGULAR_GRAM, 12, deg).distinct
+    )
+    assert len(sizes) == 3 * len(lattice._pair_chunk_bounds(12 * 12 - 1)) > 300
+    assert 0 in sizes
 
 
 def test_census_dispatch():
