@@ -3,12 +3,13 @@ general positive-definite rational lattices.
 
 Shape keys are triples of integer squared side lengths packed into a single
 int64 (three equal-width bit fields, sorted ascending), so deduplication is a
-sort-and-unique over numpy arrays. The square grid uses the origin-vertex
-reduction; the triangular lattice anchors at both inequivalent corners of the
-coefficient rhombus. Each anchor has a reflection that fixes it and maps the
-box and the form onto themselves (Lemma 3.1 for the square grid), so of each
-pair of anchored triangles it swaps only one is keyed. General lattices fall
-back to the conservative translation-plus-span reduction, unquotiented.
+sort-and-unique over numpy arrays. A census keys each triangle at a longest
+side PQ, up to the signed coordinate permutations that keep the form and up
+to swapping P and Q (`_longest_sides`, `_side_keys`). Keys with different
+longest sides never collide, so tasks of whole longest-side groups count
+their own distinct keys and the counts add up, with no merge.
+`general_lattice_census` keeps the translation-only enumeration of
+vertex-difference pairs as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import numpy as np
 from .errors import CostGuardExceeded, PreconditionError
 
 DEFAULT_ORACLE_LIMIT = 8
-_CHUNK_PAIRS = 4_000_000  # target pairs per task, fixed so results don't depend on workers
-_FLUSH_KEYS = 60_000_000  # pending keys buffered before merging into the accumulator
+# Cells of the c boxes (a bound on the shape keys) per census task; fixed, so
+# the task list does not depend on workers.
+_TASK_KEYS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -135,15 +137,17 @@ def _pack_sorted(x, y, z, width: int):
     return (lo << (2 * width)) | (mid << width) | hi
 
 
-def _unpack(keys: np.ndarray, width: int):
-    mask = (np.int64(1) << width) - 1
-    return (keys >> (2 * width)) & mask, (keys >> width) & mask, keys & mask
-
-
 def _nondegenerate_count(keys: np.ndarray, width: int) -> int:
-    a, b, c = _unpack(keys, width)
-    area16 = 2 * (a * b + b * c + c * a) - a * a - b * b - c * c
-    return int(np.count_nonzero(area16))
+    """Keys of nonzero area, 16 area^2 = 4ab - (c - a - b)^2 for squared sides
+    a, b, c, counted in cache-sized slices so the temporaries stay small."""
+    mask = (1 << width) - 1
+    count = 0
+    for s in range(0, keys.size, 1 << 16):
+        k = keys[s : s + (1 << 16)]
+        a, b, c = k >> (2 * width), (k >> width) & mask, k & mask
+        c -= a + b
+        count += int(np.count_nonzero(4 * a * b != c * c))
+    return count
 
 
 def _sorted_unique(arrays: list[np.ndarray]) -> np.ndarray:
@@ -158,95 +162,112 @@ def _sorted_unique(arrays: list[np.ndarray]) -> np.ndarray:
     return arr[keep]
 
 
-class _KeyAccumulator:
-    """Collects packed keys, merging in bounded batches to cap peak memory."""
-
-    def __init__(self):
-        self.acc: np.ndarray | None = None
-        self.pending: list[np.ndarray] = []
-        self.pending_size = 0
-
-    def add(self, arr: np.ndarray) -> None:
-        if arr.size == 0:
-            return
-        self.pending.append(arr)
-        self.pending_size += arr.size
-        if self.pending_size >= _FLUSH_KEYS:
-            self._flush()
-
-    def _flush(self) -> None:
-        if self.acc is not None:
-            self.pending.append(self.acc)
-            self.acc = None
-        self.acc = _sorted_unique(self.pending)
-        self.pending_size = 0
-
-    def result(self) -> np.ndarray:
-        self._flush()
-        return self.acc if self.acc is not None else np.empty(0, dtype=np.int64)
+def _union(arrays) -> np.ndarray:
+    """Sorted distinct keys over an iterable of key arrays. Pending arrays are
+    merged in once they hold as many keys as the union so far (and at least
+    _TASK_KEYS), so memory stays a small multiple of the result."""
+    acc, pending, size = np.empty(0, dtype=np.int64), [], 0
+    for arr in arrays:
+        pending.append(arr)
+        size += arr.size
+        if size >= max(acc.size, _TASK_KEYS):
+            pending.append(acc)
+            acc, size = _sorted_unique(pending), 0
+    pending.append(acc)
+    return _sorted_unique(pending)
 
 
 # ---------------------------------------------------------------------------
-# Chunked pair enumeration (worker tasks)
-#
-# A task carries everything its chunk needs, so a chunk is a pure function of
-# its task and gives the same keys under any multiprocessing start method.
+# Census tasks: each is a pure function of its arguments, so it gives the same
+# result under any multiprocessing start method.
 
 
-def _anchor_points(n: int, anchor: tuple[int, int], s: int):
-    """The n x n coefficient grid minus the anchor, as deltas (du, dv) from the
-    anchor in row-major order, and sigma: the anchor's fixing reflection
-    (du, dv) -> (s*dv, s*du) as an index map over those points (an involution).
+def _longest_sides(n: int, q: tuple[int, int, int]):
+    """The longest sides d = Q - P that the census keys, sorted by h = q(d),
+    each with the box of third vertices c = R - P it scans.
+
+    d runs over the nonzero vectors of [-(n-1), n-1]^2 that are the largest,
+    in row-major order, of their orbit under the signed permutations that
+    keep the form; these map the box a triangle spans onto one of the same
+    size. The c box is the span box (P, Q and R fit in the region) clipped to
+    the boxes of the ellipses q(c) <= h and q(c - d) <= h; it always holds
+    c = 0. Returns the int64 arrays du, dv, h, u0, u1, v0, v1.
     """
-    u, v = np.meshgrid(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64))
-    u, v = u.ravel(), v.ravel()
-    ru, rv = anchor[0] + s * (v - anchor[1]), anchor[1] + s * (u - anchor[0])
-    inside = min(ru.min(), rv.min()) >= 0 and max(ru.max(), rv.max()) < n
-    assert inside, "the reflection must map the box onto itself"
-    a = anchor[1] * n + anchor[0]
-    keep = np.arange(n * n) != a
-    image = (rv * n + ru)[keep]
-    sigma = image - (image > a)  # full-grid index to point-list index
-    return u[keep] - anchor[0], v[keep] - anchor[1], sigma
+    qa, qb, qc = q
+    side = np.arange(-(n - 1), n, dtype=np.int64)
+    du, dv = np.repeat(side, side.size), np.tile(side, side.size)
+    signs = [(s, t) for s in (1, -1) for t in (1, -1) if s * t * qb == qb]
+    images = [(s * du, t * dv) for s, t in signs]
+    if qa == qc:
+        images += [(s * dv, t * du) for s, t in signs]
+    rank = du * side.size + dv  # row-major order
+    keep = rank != 0
+    for gu, gv in images:
+        keep &= rank >= gu * side.size + gv
+    du, dv = du[keep], dv[keep]
+    h = qa * du * du + qb * du * dv + qc * dv * dv
+    order = np.argsort(h, kind="stable")
+    du, dv, h = du[order], dv[order], h[order]
+    # |u| <= sqrt(4 qc h / disc) and |v| <= sqrt(4 qa h / disc) on q(x) <= h,
+    # so r >= |d| per coordinate; the + 1 absorbs rounding, the exact test is
+    # in _side_keys
+    disc = 4 * qa * qc - qb * qb
+    ru = np.minimum(np.sqrt(4 * qc * h / disc).astype(np.int64) + 1, n - 1)
+    rv = np.minimum(np.sqrt(4 * qa * h / disc).astype(np.int64) + 1, n - 1)
+    return (du, dv, h, np.maximum(du, 0) - ru, np.minimum(du, 0) + ru,
+            np.maximum(dv, 0) - rv, np.minimum(dv, 0) + rv)
 
 
-def _canonical_partners(sigma: np.ndarray, i: int) -> np.ndarray | None:
-    """Mask over j > i of the pairs (i, j) kept as the canonical member of the
-    orbit {(i, j), (sigma i, sigma j)}: (i, j) <= sorted(sigma i, sigma j).
-    None when row i keeps nothing."""
-    si = sigma[i]
-    if si < i:
-        return None
-    if si > i:
-        return sigma[i + 1 :] >= i
-    return sigma[i + 1 :] >= np.arange(i + 1, sigma.size)
+def _longest_side_tasks(n: int, q: tuple[int, int, int]) -> list[tuple]:
+    """Census tasks (n, q, (lo, hi)) over the h-sorted `_longest_sides`: runs
+    of whole h groups, closed once their c boxes hold _TASK_KEYS cells (a
+    bound on their keys). Keys of different h never collide, so the tasks'
+    distinct counts add up. The list depends on n and q only."""
+    _, _, h, u0, u1, v0, v1 = _longest_sides(n, q)
+    cells = ((u1 - u0 + 1) * (v1 - v0 + 1)).tolist()
+    h = h.tolist()
+    tasks, lo, load = [], 0, 0
+    for i in range(1, len(h) + 1):
+        load += cells[i - 1]
+        if i == len(h) or (h[i] != h[i - 1] and load >= _TASK_KEYS):
+            tasks.append((n, q, (lo, i)))
+            lo, load = i, 0
+    return tasks
 
 
-def _anchored_chunk(task: tuple) -> np.ndarray:
-    """Packed shape keys for the canonical pairs (i, j), i in [lo, hi), j > i,
-    deduplicated.
-
-    The task is (n, (qa, qb, qc), (anchor, s), (lo, hi)); the points are the
-    n x n coefficient grid minus the anchor, as deltas from the anchor, and s
-    is the sign of the anchor's fixing reflection.
+def _side_keys(q, width, du, dv, h, u0, u1, v0, v1) -> np.ndarray:
+    """Packed keys (q(c), q(c - d), h) of the c != 0 in [u0, u1] x [v0, v1]
+    with q(c) <= q(c - d) <= h: the triangles {0, d, c} with longest side d,
+    one of each pair c, d - c that swapping P and Q exchanges. With
+    L(c) = q(c) + h - q(c - d), linear in c, the test is q(c) - L(c) <= 0 and
+    L(c) <= h, broadcast over rows and columns in int32: every value is below
+    2**24 in magnitude (width <= 21).
     """
-    n, (qa, qb, qc), (anchor, s), (lo, hi) = task
-    assert qa == qc, "the fixing reflection keeps only forms with qa == qc"
-    du, dv, sigma = _anchor_points(n, anchor, s)
-    w = qa * du * du + qb * du * dv + qc * dv * dv
-    width = _field_width(n, qa, qb, qc)
-    out = []
-    for i in range(lo, hi):
-        mask = _canonical_partners(sigma, i)
-        if mask is None:
-            continue
-        dx = du[i] - du[i + 1 :][mask]
-        dy = dv[i] - dv[i + 1 :][mask]
-        dq = qa * dx * dx + qb * dx * dy + qc * dy * dy
-        out.append(_pack_sorted(w[i], w[i + 1 :][mask], dq, width))
-    if not out:
-        return np.empty(0, dtype=np.int64)
-    return _sorted_unique(out)
+    qa, qb, qc = q
+    cu = np.arange(u0, u1 + 1, dtype=np.int32)
+    cv = np.arange(v0, v1 + 1, dtype=np.int32)
+    lu, lv = 2 * qa * du + qb * dv, qb * du + 2 * qc * dv
+    k = (qa * cu * cu - lu * cu)[:, None] + (qc * cv * cv - lv * cv)
+    if qb:
+        k += (qb * cu)[:, None] * cv
+    l = (lu * cu)[:, None] + lv * cv
+    keep = k <= 0
+    keep &= l <= h
+    keep[-u0, -v0] = False  # c = 0
+    k, l = k[keep].astype(np.int64), l[keep].astype(np.int64)
+    # q(c) = k + l and q(c - d) = k + h, each below 2**width
+    return ((k + l) << (2 * width)) | ((k + h) << width) | h
+
+
+def _longest_side_chunk(task: tuple) -> tuple[int, int]:
+    """Distinct and distinct non-degenerate shapes whose longest side is one
+    of the task's d. The task is (n, (qa, qb, qc), (lo, hi)), an index range
+    of `_longest_sides(n, q)`."""
+    n, q, (lo, hi) = task
+    width = _field_width(n, *q)
+    sides = zip(*(a[lo:hi].tolist() for a in _longest_sides(n, q)))
+    keys = _sorted_unique([_side_keys(q, width, *side) for side in sides])
+    return keys.size, _nondegenerate_count(keys, width)
 
 
 def _delta_chunk(task: tuple) -> np.ndarray:
@@ -283,56 +304,36 @@ def _delta_chunk(task: tuple) -> np.ndarray:
     return _sorted_unique(out)
 
 
-def _pair_chunk_bounds(npts: int) -> list[tuple[int, int]]:
-    """Deterministic i-ranges with roughly _CHUNK_PAIRS pairs each."""
-    bounds = []
-    lo = 0
-    pairs = 0
-    for i in range(npts):
-        pairs += npts - i - 1
-        if pairs >= _CHUNK_PAIRS or i == npts - 1:
-            bounds.append((lo, i + 1))
-            lo, pairs = i + 1, 0
-    return bounds
-
-
-def _run_chunks(fn, tasks: list[tuple], workers: int) -> tuple[np.ndarray, int]:
-    """Sorted distinct keys over all tasks, and the number of processes that
-    ran them; the merge is a set union, so the keys do not depend on the
-    number of workers or on scheduling order."""
-    acc = _KeyAccumulator()
+def _run_chunks(fn, tasks: list[tuple], workers: int, combine):
+    """combine(the results of fn over the tasks, in task order), and the
+    number of processes that ran them (1 when serial)."""
     used = min(workers, len(tasks))
     if used <= 1:
-        for t in tasks:
-            acc.add(fn(t))
-        return acc.result(), 1
+        return combine(map(fn, tasks)), 1
     with ProcessPoolExecutor(max_workers=used) as pool:
-        for arr in pool.map(fn, tasks, chunksize=1):
-            acc.add(arr)
-    return acc.result(), used
+        return combine(pool.map(fn, tasks, chunksize=1)), used
 
 
 def _census(
     kind: LatticeKind, n: int, include_degenerate: bool, workers: int,
-    anchors: list[tuple[tuple[int, int], int]] | None,
+    translation_only: bool = False,
 ) -> ShapeCensus:
-    """Anchored census when `anchors` is given, each anchor with the sign s of
-    its fixing reflection (du, dv) -> (s*dv, s*du); else translation-only."""
+    """Longest-side census; the translation-only delta-pair census, which
+    merges keys across tasks, when `translation_only`."""
     if n < 2:
         raise PreconditionError(f"{kind.name} census needs n >= 2")
     t0 = time.monotonic()
     q = kind.gram.integer_scaled()
     width = _field_width(n, *q)
-    if anchors is None:
+    if translation_only:
         ndeltas = (2 * n - 1) ** 2
         tasks = [(n, q, (i, min(i + 64, ndeltas))) for i in range(0, ndeltas, 64)]
-        keys, used = _run_chunks(_delta_chunk, tasks, workers)
+        keys, used = _run_chunks(_delta_chunk, tasks, workers, _union)
+        distinct = keys.size if include_degenerate else _nondegenerate_count(keys, width)
     else:
-        # One task list over all anchors, so one pool serves the whole census.
-        bounds = _pair_chunk_bounds(n * n - 1)
-        tasks = [(n, q, anchor, b) for anchor in anchors for b in bounds]
-        keys, used = _run_chunks(_anchored_chunk, tasks, workers)
-    distinct = keys.size if include_degenerate else _nondegenerate_count(keys, width)
+        counts, used = _run_chunks(_longest_side_chunk, _longest_side_tasks(n, q), workers,
+                                   lambda results: [sum(c) for c in zip(*results)])
+        distinct = counts[0] if include_degenerate else counts[1]
     return ShapeCensus(
         kind=kind.name,
         n=n,
@@ -352,26 +353,25 @@ def census(
 ) -> ShapeCensus:
     """Distinct triangle shapes over all triples of the n x n region of `kind`.
 
-    The single census entry point: square and triangular kinds use their
-    anchored reductions, any other kind the translation-only general path.
-    Counts do not depend on `workers` or on the multiprocessing start method.
+    The single census entry point; every kind runs the longest-side census
+    (square and triangular kinds through `grid_census` and
+    `tri_lattice_census`). Counts do not depend on `workers` or on the
+    multiprocessing start method.
     """
     if kind.name == "square":
         return grid_census(n, include_degenerate, workers)
     if kind.name == "triangular":
         return tri_lattice_census(n, include_degenerate, workers)
-    return general_lattice_census(kind.gram, n, include_degenerate, workers)
+    return _census(kind, n, include_degenerate, workers)
 
 
 def grid_census(n: int, include_degenerate: bool = True, workers: int = 1) -> ShapeCensus:
     """Distinct triangle shapes over all triples of the n x n square grid.
 
-    Every grid triangle is congruent to one with a vertex at the origin, so
-    only origin-anchored pairs are enumerated, and by Lemma 3.1 {O, a, b} is
-    congruent to its transpose {O, a^T, b^T}, so only one pair of each
-    transpose orbit is keyed.
+    Each triangle is keyed at a longest side d, with d taken up to the eight
+    symmetries of the grid: only d with du >= dv >= 0 are scanned.
     """
-    return _census(LatticeKind.square(), n, include_degenerate, workers, [((0, 0), 1)])
+    return _census(LatticeKind.square(), n, include_degenerate, workers)
 
 
 def tri_lattice_census(
@@ -381,12 +381,11 @@ def tri_lattice_census(
 
     In coefficient coordinates the region is a rhombus with 60-degree corners
     at (0,0) and (n-1,n-1) and 120-degree corners at (n-1,0) and (0,n-1); it
-    holds n^2 points. Anchoring at one corner of each kind covers every shape.
-    Each anchor's pairs are quotiented by the reflection that fixes it and the
-    rhombus: (u,v) -> (v,u) at (0,0) and (u,v) -> (n-1-v, n-1-u) at (n-1,0).
+    holds n^2 points. Each triangle is keyed at a longest side d, with d
+    taken up to the four signed permutations d -> +-(du, dv), +-(dv, du) that
+    keep the form.
     """
-    anchors = [((0, 0), 1), ((n - 1, 0), -1)]
-    return _census(LatticeKind.triangular(), n, include_degenerate, workers, anchors)
+    return _census(LatticeKind.triangular(), n, include_degenerate, workers)
 
 
 def general_lattice_census(
@@ -395,11 +394,11 @@ def general_lattice_census(
     """Distinct triangle shapes in the n x n coefficient box of an arbitrary
     positive-definite lattice, via translation reduction over delta pairs.
 
-    The bounding-box corner argument is specific to forms with extra symmetry,
-    so this path only quotients by translation: it enumerates pairs of deltas
-    (d1, d2) whose coordinate span fits in the box.
+    This path only quotients by translation: it enumerates pairs of deltas
+    (d1, d2) whose coordinate span fits in the box, and merges the keys of
+    all tasks. It shares no enumeration with `census`, which it cross-checks.
     """
-    return _census(LatticeKind.general(gram), n, include_degenerate, workers, None)
+    return _census(LatticeKind.general(gram), n, include_degenerate, workers, True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import multiprocessing
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from dtl import lattice
@@ -101,6 +100,14 @@ def test_gram_positive_definite_required():
         GramForm(0, 0, 1)
 
 
+@pytest.mark.parametrize("q", [(1, 0, 2), (2, 1, 3), (1, -1, 3)])
+@pytest.mark.parametrize("deg", [True, False])
+def test_census_matches_oracle_on_general_forms(q, deg):
+    kind = LatticeKind.general(GramForm(*q))
+    for n in range(2, 7):
+        assert census(kind, n, deg).distinct == all_triples_census(n, kind, deg).distinct
+
+
 @pytest.fixture(params=["fork", "spawn", "forkserver"])
 def start_method(request):
     prev = multiprocessing.get_start_method(allow_none=True)
@@ -109,10 +116,13 @@ def start_method(request):
     multiprocessing.set_start_method(prev, force=True)
 
 
-def test_determinism_across_workers(start_method):
-    # Each input has several chunk tasks (3 for the grid, 3 per anchor for the
-    # triangle, 9 for the general path), so workers > 1 starts a pool. The
-    # counts are the single-process results.
+def test_determinism_across_workers(start_method, monkeypatch):
+    # A small task budget gives each input several tasks (5 for the grid, 10
+    # for the triangle; the general path has 9 delta chunks), so workers > 1
+    # starts a pool. The counts are the single-process results.
+    monkeypatch.setattr(lattice, "_TASK_KEYS", 2_000_000)
+    assert len(lattice._longest_side_tasks(64, (1, 0, 1))) == 5
+    assert len(lattice._longest_side_tasks(64, (1, 1, 1))) == 10
     for w in (1, 2, 8):
         assert grid_census(64, workers=w).distinct == 2_933_509
         assert tri_lattice_census(64, False, workers=w).distinct == 3_651_133
@@ -143,73 +153,119 @@ def pool_sizes(monkeypatch):
 
 
 def test_pool_size_capped_at_task_count(pool_sizes):
-    # grid_census(64) has 3 chunk tasks; a pool asked for 6 workers would
+    # tri_lattice_census(64) has 3 tasks; a pool asked for 6 workers would
     # start 6 processes under fork.
-    assert grid_census(64, workers=6).distinct == 2_933_509
+    assert len(lattice._longest_side_tasks(64, (1, 1, 1))) == 3
+    assert tri_lattice_census(64, False, workers=6).distinct == 3_651_133
     assert pool_sizes == [3]
 
 
 def test_census_reports_processes_used(pool_sizes):
-    assert grid_census(64, workers=6).workers == 3
-    # grid_census(5) has one chunk task, so it runs serially
+    assert tri_lattice_census(64, workers=6).workers == 3
+    # grid_census(5) has one task, so it runs serially
     assert grid_census(5, workers=4).workers == 1
     assert general_lattice_census(TRIANGULAR_GRAM, 12, workers=2).workers == 2
     assert pool_sizes == [3, 2]
 
 
-def _fixing_reflection(n, corner):
-    """(anchor, sign) as the censuses pass them, and the reflection on points."""
-    if corner == "origin":
-        return (0, 0), 1, lambda p: (p[1], p[0])
-    return (n - 1, 0), -1, lambda p: (n - 1 - p[1], n - 1 - p[0])
+def test_task_list_does_not_depend_on_workers(pool_sizes, monkeypatch):
+    seen = []
+    real = lattice._run_chunks
+
+    def recording(fn, tasks, workers, combine):
+        seen.append(list(tasks))
+        return real(fn, tasks, workers, combine)
+
+    monkeypatch.setattr(lattice, "_run_chunks", recording)
+    for w in (1, 2, 8):
+        assert tri_lattice_census(64, workers=w).workers == min(w, 3)
+    assert len(seen[0]) == 3 and seen[0] == seen[1] == seen[2]
+    assert pool_sizes == [2, 3]
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-@pytest.mark.parametrize("corner", ["origin", "right"])
-def test_canonical_rule_keeps_one_pair_per_reflection_orbit(n, corner):
-    anchor, s, reflect = _fixing_reflection(n, corner)
-    pts = [(u, v) for v in range(n) for u in range(n) if (u, v) != anchor]
-    du, dv, sigma = lattice._anchor_points(n, anchor, s)
-    assert list(zip((du + anchor[0]).tolist(), (dv + anchor[1]).tolist())) == pts
-    kept = []
-    for i in range(len(pts)):
-        mask = lattice._canonical_partners(sigma, i)
-        if mask is not None:
-            kept += [frozenset({pts[i], pts[j]}) for j in np.flatnonzero(mask) + i + 1]
+# The four shapes of the group G of signed coordinate permutations that keep a
+# form: all 8; +-I and +-swap; +-I and the sign changes of one coordinate; +-I.
+G_ORDERS = {(1, 0, 1): 8, (1, 1, 1): 4, (1, 0, 2): 4, (2, 1, 3): 2}
 
-    def orbit(pair):
-        return frozenset({frozenset(pair), frozenset(map(reflect, pair))})
 
-    pairs = list(combinations(pts, 2))
-    kept_orbits = [orbit(p) for p in kept]
-    assert len(set(kept_orbits)) == len(kept_orbits)  # at most one per orbit
-    assert set(kept_orbits) == {orbit(p) for p in pairs}  # at least one
-    fixed = sum(1 for p in pairs if frozenset(map(reflect, p)) == frozenset(p))
-    assert 2 * len(kept) == len(pairs) + fixed
+def _q(q, u, v):
+    return q[0] * u * u + q[1] * u * v + q[2] * v * v
+
+
+def _symmetries(q, n):
+    """The signed permutations that keep q on the (2n-1)^2 difference box."""
+    maps = [
+        lambda u, v, s=s, t=t: (s * u, t * v) for s in (1, -1) for t in (1, -1)
+    ] + [lambda u, v, s=s, t=t: (s * v, t * u) for s in (1, -1) for t in (1, -1)]
+    box = [(u, v) for u in range(1 - n, n) for v in range(1 - n, n)]
+    return [g for g in maps if all(_q(q, *g(*p)) == _q(q, *p) for p in box)]
+
+
+@pytest.mark.parametrize("q", list(G_ORDERS))
+def test_orbit_rule_keeps_the_largest_d_of_each_orbit(q):
+    for n in (2, 5, 8):
+        group = _symmetries(q, n)
+        assert len(group) == G_ORDERS[q]
+        du, dv, h = (a.tolist() for a in lattice._longest_sides(n, q)[:3])
+        orbits = {
+            frozenset(g(u, v) for g in group)
+            for u in range(1 - n, n) for v in range(1 - n, n) if (u, v) != (0, 0)
+        }
+        # one d per orbit, its largest in row-major (tuple) order
+        assert sorted(zip(du, dv)) == sorted(max(o) for o in orbits)
+        assert h == [_q(q, u, v) for u, v in zip(du, dv)] == sorted(h)
+
+
+@pytest.mark.parametrize("q", [*G_ORDERS, (1, -1, 3)])
+def test_half_rule_keeps_one_c_per_swap_pair(q):
+    for n in (2, 4, 6):
+        width = lattice._field_width(n, *q)
+        mask = (1 << width) - 1
+        shapes = set()
+        for du, dv, h, *box in zip(*(a.tolist() for a in lattice._longest_sides(n, q))):
+            keys = lattice._side_keys(q, width, du, dv, h, *box).tolist()
+            got = sorted(((k >> 2 * width) & mask, (k >> width) & mask, k & mask) for k in keys)
+            want = sorted(
+                (_q(q, cu, cv), _q(q, cu - du, cv - dv), h)
+                for cu in range(max(du, 0) - (n - 1), min(du, 0) + n)
+                for cv in range(max(dv, 0) - (n - 1), min(dv, 0) + n)
+                if 0 < _q(q, cu, cv) <= _q(q, cu - du, cv - dv) <= h
+            )
+            assert got == want
+            shapes.update(got)
+        pts = [(u, v) for u in range(n) for v in range(n)]
+        assert shapes == {
+            tuple(sorted((_q(q, a[0] - b[0], a[1] - b[1]), _q(q, a[0] - c[0], a[1] - c[1]),
+                          _q(q, b[0] - c[0], b[1] - c[1]))))
+            for a, b, c in combinations(pts, 3)
+        }
 
 
 @pytest.mark.parametrize("deg", [True, False])
-def test_small_chunks_match_general_path(monkeypatch, deg):
-    # About 50 pairs per chunk at n = 12, so the reflection quotient meets
-    # every kind of chunk boundary, including chunks whose rows keep nothing.
-    monkeypatch.setattr(lattice, "_CHUNK_PAIRS", 50)
-    sizes = []
-    real = lattice._anchored_chunk
+def test_one_task_per_h_group_matches_general_path(monkeypatch, deg):
+    monkeypatch.setattr(lattice, "_TASK_KEYS", 0)
+    for q in G_ORDERS:
+        h = lattice._longest_sides(12, q)[2]
+        assert len(lattice._longest_side_tasks(12, q)) == len(set(h.tolist()))
+        gram = GramForm(*q)
+        assert (
+            census(LatticeKind.general(gram), 12, deg).distinct
+            == general_lattice_census(gram, 12, deg).distinct
+        )
 
-    def recording(task):
-        keys = real(task)
-        sizes.append(keys.size)
-        return keys
 
-    monkeypatch.setattr(lattice, "_anchored_chunk", recording)
-    square = GramForm(1, 0, 1)
-    assert grid_census(12, deg).distinct == general_lattice_census(square, 12, deg).distinct
-    assert (
-        tri_lattice_census(12, deg).distinct
-        == general_lattice_census(TRIANGULAR_GRAM, 12, deg).distinct
-    )
-    assert len(sizes) == 3 * len(lattice._pair_chunk_bounds(12 * 12 - 1)) > 300
-    assert 0 in sizes
+@pytest.mark.parametrize(
+    "n, q, budget", [(128, (1, 0, 1), None), (100, (1, 1, 1), None), (40, (2, 1, 3), 1000)]
+)
+def test_no_h_group_split_across_tasks(monkeypatch, n, q, budget):
+    if budget is not None:
+        monkeypatch.setattr(lattice, "_TASK_KEYS", budget)
+    h = lattice._longest_sides(n, q)[2].tolist()
+    bounds = [t[2] for t in lattice._longest_side_tasks(n, q)]
+    assert len(bounds) >= 2
+    assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+    assert bounds[-1][1] == len(h)
+    assert all(h[lo - 1] < h[lo] for lo, _ in bounds[1:])
 
 
 def test_census_dispatch():
