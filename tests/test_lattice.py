@@ -1,7 +1,7 @@
 """Lattice shape censuses: reductions vs. brute force, determinism, series."""
 
 import multiprocessing
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -241,8 +241,56 @@ def test_half_rule_keeps_one_c_per_swap_pair(q):
         }
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("corner", ["origin", "right"])
+def test_canonical_rule_keeps_one_pair_per_reflection_orbit(n, corner):
+    # Every triangle PQR with P at a corner of the n x n region and PQ a
+    # longest side is the pair (d, c) = (Q - P, R - P). Its orbit under G and
+    # the P <-> Q swap with -I, (d, c) -> (d, d - c), holds the congruent pairs
+    # that keep d as the side. The kernel scans the members whose d passes the
+    # orbit rule and whose c passes the half rule: there must be at least one,
+    # all with the same d and the triangle's key, inside that d's c box and
+    # among the kernel's own keys for it.
+    p = (0, 0) if corner == "origin" else (n - 1, 0)
+    pts = [(u, v) for u in range(n) for v in range(n) if (u, v) != p]
+    for q in G_ORDERS:
+        group = _symmetries(q, n)
+        width = lattice._field_width(n, *q)
+        mask = (1 << width) - 1
+        sides = {
+            (du, dv): side
+            for du, dv, *side in zip(*(a.tolist() for a in lattice._longest_sides(n, q)))
+        }
+        side_keys = {}
+        for a, b in permutations(pts, 2):
+            d, c = (a[0] - p[0], a[1] - p[1]), (b[0] - p[0], b[1] - p[1])
+            h, qc, qcd = _q(q, *d), _q(q, *c), _q(q, c[0] - d[0], c[1] - d[1])
+            if max(qc, qcd) > h:
+                continue
+            orbit = set()
+            for g in group:
+                e, f = g(*d), g(*c)
+                orbit |= {(e, f), (e, (e[0] - f[0], e[1] - f[1]))}
+            scanned = [
+                (e, f) for e, f in orbit
+                if e in sides and 0 < _q(q, *f) <= _q(q, f[0] - e[0], f[1] - e[1])
+            ]
+            assert len({e for e, _ in scanned}) == 1
+            e = scanned[0][0]
+            h, u0, u1, v0, v1 = sides[e]
+            if e not in side_keys:
+                keys = lattice._side_keys(q, width, *e, h, u0, u1, v0, v1).tolist()
+                side_keys[e] = {((k >> 2 * width) & mask, (k >> width) & mask, k & mask) for k in keys}
+            shape = tuple(sorted((qc, qcd, h)))
+            for _, f in scanned:
+                assert (_q(q, *f), _q(q, f[0] - e[0], f[1] - e[1]), h) == shape
+                assert u0 <= f[0] <= u1 and v0 <= f[1] <= v1
+            assert shape in side_keys[e]
+
+
 @pytest.mark.parametrize("deg", [True, False])
-def test_one_task_per_h_group_matches_general_path(monkeypatch, deg):
+def test_small_chunks_match_general_path(monkeypatch, deg):
+    # A zero budget makes every h group its own task.
     monkeypatch.setattr(lattice, "_TASK_KEYS", 0)
     for q in G_ORDERS:
         h = lattice._longest_sides(12, q)[2]
