@@ -193,7 +193,7 @@ def _cmd_census(args, sink: _Sink) -> int:
         )
         for r in rows:
             sink.line(_census_row(r))
-        if args.fit and len(rows) >= 3:
+        if args.fit:
             fit = ratio_fit(rows)
             sink.line(f"# fit c={_fmt(fit.c)} d={_fmt(fit.d)} residual={_fmt(fit.residual)}")
         return 0
@@ -252,7 +252,9 @@ def _cmd_constant(args, sink: _Sink) -> int:
 def _cmd_verify(args, sink: _Sink) -> int:
     t0 = time.monotonic()
     if args.lemma == "origin-reduction":
-        n_max = args.n or 6
+        n_max = 6 if args.n is None else args.n
+        if n_max < 2:
+            raise DtlError(f"verify --lemma origin-reduction needs --n >= 2, got {n_max}")
         mismatches = []
         kinds = (LatticeKind.square(), LatticeKind.triangular())
         for kind in kinds:
@@ -292,8 +294,8 @@ def _cmd_verify(args, sink: _Sink) -> int:
         )
         return 0 if not rep.violations else 1
     if args.lemma == "3.2":
-        max_r = args.max_r or 50
-        max_n = args.n or 30
+        max_r = 50 if args.max_r is None else args.max_r
+        max_n = 30 if args.n is None else args.n
         rep = lemma32_bound_check(max_r, max_n)
         if args.cases_csv:
             rows = ["p,q,r,n,count,bound,ok"] + [
@@ -313,8 +315,8 @@ def _cmd_verify(args, sink: _Sink) -> int:
         )
         return 0 if not rep.violations else 1
     # lemma 3.3
-    m = args.m or 5
-    n = args.n or m**5
+    m = 5 if args.m is None else args.m
+    n = m**5 if args.n is None else args.n
     t = _parse_triple(args.triple) if args.triple else smallest_triple_with_r_at_least(
         2 * m**4 * n
     )

@@ -1,15 +1,15 @@
 """Distinct-triangle censuses on the square grid, triangular lattice, and
 general positive-definite rational lattices.
 
-Shape keys are triples of integer squared side lengths packed into a single
-int64 (three equal-width bit fields, sorted ascending), so deduplication is a
-sort-and-unique over numpy arrays. A census keys each triangle at a longest
-side PQ, up to the signed coordinate permutations that keep the form and up
-to swapping P and Q (`_longest_sides`, `_side_keys`). Keys with different
-longest sides never collide, so tasks of whole longest-side groups count
-their own distinct keys and the counts add up, with no merge.
-`general_lattice_census` keeps the translation-only enumeration of
-vertex-difference pairs as an independent cross-check.
+Shape keys are triples of integer squared side lengths, sorted ascending and
+packed into one int64 of three equal-width bit fields. A census keys each
+triangle at a longest side PQ, up to the signed coordinate permutations that
+keep the form and up to swapping P and Q, and skips third vertices collinear
+with PQ when degenerate triangles are excluded (`_longest_sides`,
+`_side_keys`). Keys with different longest sides never collide, so each task
+of whole longest-side groups sorts its keys in place in one buffer and
+returns one count; the counts add up with no merge. `general_lattice_census`
+keeps the translation-only enumeration of vertex pairs, an independent check.
 """
 
 from __future__ import annotations
@@ -29,8 +29,14 @@ from .errors import CostGuardExceeded, PreconditionError
 
 DEFAULT_ORACLE_LIMIT = 8
 # Cells of the c boxes (a bound on the shape keys) per census task; fixed, so
-# the task list does not depend on workers.
-_TASK_KEYS = 10_000_000
+# the task list does not depend on workers, and small, so a task sorts 8 MB.
+_TASK_KEYS = 1_000_000
+# Bytes a longest-side census may hold at once over all its processes;
+# checked before any task runs (`_check_memory`).
+_MEMORY_BUDGET = 2 << 30
+# Bytes per cell of the int32 and bool temporaries of one c box in
+# `_side_keys`; tracemalloc measures at most 19.
+_BOX_BYTES = 24
 
 
 @dataclass(frozen=True)
@@ -191,7 +197,7 @@ def _longest_sides(n: int, q: tuple[int, int, int]):
     keep the form; these map the box a triangle spans onto one of the same
     size. The c box is the span box (P, Q and R fit in the region) clipped to
     the boxes of the ellipses q(c) <= h and q(c - d) <= h; it always holds
-    c = 0. Returns the int64 arrays du, dv, h, u0, u1, v0, v1.
+    c = 0. Returns one int64 array with rows du, dv, h, u0, u1, v0, v1.
     """
     qa, qb, qc = q
     side = np.arange(-(n - 1), n, dtype=np.int64)
@@ -214,34 +220,50 @@ def _longest_sides(n: int, q: tuple[int, int, int]):
     disc = 4 * qa * qc - qb * qb
     ru = np.minimum(np.sqrt(4 * qc * h / disc).astype(np.int64) + 1, n - 1)
     rv = np.minimum(np.sqrt(4 * qa * h / disc).astype(np.int64) + 1, n - 1)
-    return (du, dv, h, np.maximum(du, 0) - ru, np.minimum(du, 0) + ru,
-            np.maximum(dv, 0) - rv, np.minimum(dv, 0) + rv)
+    return np.stack((du, dv, h, np.maximum(du, 0) - ru, np.minimum(du, 0) + ru,
+                     np.maximum(dv, 0) - rv, np.minimum(dv, 0) + rv))
 
 
-def _longest_side_tasks(n: int, q: tuple[int, int, int]) -> list[tuple]:
-    """Census tasks (n, q, (lo, hi)) over the h-sorted `_longest_sides`: runs
-    of whole h groups, closed once their c boxes hold _TASK_KEYS cells (a
-    bound on their keys). Keys of different h never collide, so the tasks'
-    distinct counts add up. The list depends on n and q only."""
-    _, _, h, u0, u1, v0, v1 = _longest_sides(n, q)
-    cells = ((u1 - u0 + 1) * (v1 - v0 + 1)).tolist()
-    h = h.tolist()
+def _longest_side_tasks(n: int, q: tuple, width: int, include_degenerate: bool) -> list:
+    """Tasks (q, width, include_degenerate, rows, cells): runs of whole h groups
+    of the h-sorted `_longest_sides` rows, closed once their c boxes hold
+    _TASK_KEYS cells (a bound on their keys). Keys of different h never
+    collide, so the tasks' counts add up. The split depends on n and q only."""
+    rows = _longest_sides(n, q)
+    cells, h = ((rows[4] - rows[3] + 1) * (rows[6] - rows[5] + 1)).tolist(), rows[2].tolist()
     tasks, lo, load = [], 0, 0
     for i in range(1, len(h) + 1):
         load += cells[i - 1]
         if i == len(h) or (h[i] != h[i - 1] and load >= _TASK_KEYS):
-            tasks.append((n, q, (lo, i)))
+            tasks.append((q, width, include_degenerate, rows[:, lo:i], load))
             lo, load = i, 0
     return tasks
 
 
-def _side_keys(q, width, du, dv, h, u0, u1, v0, v1) -> np.ndarray:
-    """Packed keys (q(c), q(c - d), h) of the c != 0 in [u0, u1] x [v0, v1]
-    with q(c) <= q(c - d) <= h: the triangles {0, d, c} with longest side d,
-    one of each pair c, d - c that swapping P and Q exchanges. With
-    L(c) = q(c) + h - q(c - d), linear in c, the test is q(c) - L(c) <= 0 and
-    L(c) <= h, broadcast over rows and columns in int32: every value is below
-    2**24 in magnitude (width <= 21).
+def _check_memory(tasks: list[tuple], workers: int) -> None:
+    """Raise CostGuardExceeded when the processes that run the tasks, each
+    holding the largest task's key buffer and the temporaries of the largest
+    c box, could exceed _MEMORY_BUDGET."""
+    task_bytes = 8 * max(cells for *_, cells in tasks)
+    box_bytes = _BOX_BYTES * max(
+        int(((r[4] - r[3] + 1) * (r[6] - r[5] + 1)).max()) for *_, r, _ in tasks
+    )
+    pool = max(1, min(workers, len(tasks)))
+    peak = pool * (task_bytes + box_bytes)
+    if peak > _MEMORY_BUDGET:
+        raise CostGuardExceeded(
+            f"census needs about {peak >> 20} MB in a pool of {pool}, "
+            f"over its {_MEMORY_BUDGET >> 20} MB budget"
+        )
+
+
+def _side_keys(q, width, du, dv, h, u0, u1, v0, v1, include_degenerate, out) -> np.ndarray:
+    """Packs into `out`, and returns, the keys (q(c), q(c - d), h) of the c != 0 in
+    [u0, u1] x [v0, v1] with q(c) <= q(c - d) <= h, off the line through 0 and
+    d unless `include_degenerate`: the triangles {0, d, c} with longest side d,
+    one of each pair c, d - c that swapping P and Q exchanges. With L(c) =
+    q(c) + h - q(c - d), linear in c, the test is q(c) <= L(c) <= h, in int32
+    over rows and columns: all values are below 2**24 (width <= 21).
     """
     qa, qb, qc = q
     cu = np.arange(u0, u1 + 1, dtype=np.int32)
@@ -253,21 +275,23 @@ def _side_keys(q, width, du, dv, h, u0, u1, v0, v1) -> np.ndarray:
     l = (lu * cu)[:, None] + lv * cv
     keep = k <= 0
     keep &= l <= h
+    if not include_degenerate:
+        keep &= (dv * cu)[:, None] != du * cv
     keep[-u0, -v0] = False  # c = 0
     k, l = k[keep].astype(np.int64), l[keep].astype(np.int64)
     # q(c) = k + l and q(c - d) = k + h, each below 2**width
-    return ((k + l) << (2 * width)) | ((k + h) << width) | h
+    return np.bitwise_or(((k + l) << (2 * width)) | ((k + h) << width), h, out=out[: k.size])
 
 
-def _longest_side_chunk(task: tuple) -> tuple[int, int]:
-    """Distinct and distinct non-degenerate shapes whose longest side is one
-    of the task's d. The task is (n, (qa, qb, qc), (lo, hi)), an index range
-    of `_longest_sides(n, q)`."""
-    n, q, (lo, hi) = task
-    width = _field_width(n, *q)
-    sides = zip(*(a[lo:hi].tolist() for a in _longest_sides(n, q)))
-    keys = _sorted_unique([_side_keys(q, width, *side) for side in sides])
-    return keys.size, _nondegenerate_count(keys, width)
+def _longest_side_chunk(task: tuple) -> int:
+    """Distinct shapes whose longest side is one of the task's d: the adjacent
+    differences of its keys, sorted in place behind a 0 below them all."""
+    q, width, include_degenerate, rows, cells = task
+    keys, end = np.zeros(1 + cells, dtype=np.int64), 1
+    for side in rows.T.tolist():
+        end += _side_keys(q, width, *side, include_degenerate, keys[end:]).size
+    keys[:end].sort()
+    return int(np.count_nonzero(keys[1:end] != keys[: end - 1]))
 
 
 def _delta_chunk(task: tuple) -> np.ndarray:
@@ -331,9 +355,9 @@ def _census(
         keys, used = _run_chunks(_delta_chunk, tasks, workers, _union)
         distinct = keys.size if include_degenerate else _nondegenerate_count(keys, width)
     else:
-        counts, used = _run_chunks(_longest_side_chunk, _longest_side_tasks(n, q), workers,
-                                   lambda results: [sum(c) for c in zip(*results)])
-        distinct = counts[0] if include_degenerate else counts[1]
+        tasks = _longest_side_tasks(n, q, width, include_degenerate)
+        _check_memory(tasks, workers)
+        distinct, used = _run_chunks(_longest_side_chunk, tasks, workers, sum)
     return ShapeCensus(
         kind=kind.name,
         n=n,
@@ -407,7 +431,12 @@ def general_lattice_census(
 
 def oracle_limit() -> int:
     env = os.environ.get("DTL_ORACLE_LIMIT")
-    return int(env) if env else DEFAULT_ORACLE_LIMIT
+    if not env:
+        return DEFAULT_ORACLE_LIMIT
+    try:
+        return int(env)
+    except ValueError:
+        raise PreconditionError(f"DTL_ORACLE_LIMIT must be an integer, got {env!r}") from None
 
 
 def all_triples_census(

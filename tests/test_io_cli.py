@@ -122,6 +122,12 @@ def test_cli_census_series_and_fit(capsys):
     assert out[-1].startswith("# fit c=")
 
 
+def test_cli_census_fit_needs_three_rows(capsys):
+    assert run(["census", "--lattice", "square", "--series", "2:3", "--fit"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at least 3 rows" in captured.err
+
+
 def test_cli_constant(capsys):
     assert run(["constant", "--cutoff", "100000"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -152,6 +158,22 @@ def test_cli_verify_origin_reduction(capsys):
     assert payload["pass"] is True
     # n = 2..4, both degenerate modes, square and triangular
     assert payload["checked"] == 12
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_cli_verify_origin_reduction_needs_two_points(capsys, n):
+    assert run(["verify", "--lemma", "origin-reduction", "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--n >= 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, message", [(["--m", "0"], "m > 4"), (["--n", "0"], "n >= m^5")]
+)
+def test_cli_verify_zero_is_not_the_default(capsys, flags, message):
+    # an explicit 0 reaches the lemma's own precondition instead of its default
+    assert run(["verify", "--lemma", "3.3", *flags]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_cli_verify_origin_reduction_names_the_lattice(capsys, monkeypatch):

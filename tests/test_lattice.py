@@ -3,6 +3,7 @@
 import multiprocessing
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from dtl import lattice
@@ -24,6 +25,11 @@ from dtl.lattice import (
 
 SQUARE = LatticeKind.square()
 TRIANGULAR = LatticeKind.triangular()
+
+
+def _tasks(n, q, include_degenerate=True):
+    """The longest-side census tasks of the n x n region of form q."""
+    return lattice._longest_side_tasks(n, q, lattice._field_width(n, *q), include_degenerate)
 
 
 # Frozen oracle values (all_triples_census is the generator; see the
@@ -116,13 +122,12 @@ def start_method(request):
     multiprocessing.set_start_method(prev, force=True)
 
 
-def test_determinism_across_workers(start_method, monkeypatch):
-    # A small task budget gives each input several tasks (5 for the grid, 10
-    # for the triangle; the general path has 9 delta chunks), so workers > 1
-    # starts a pool. The counts are the single-process results.
-    monkeypatch.setattr(lattice, "_TASK_KEYS", 2_000_000)
-    assert len(lattice._longest_side_tasks(64, (1, 0, 1))) == 5
-    assert len(lattice._longest_side_tasks(64, (1, 1, 1))) == 10
+def test_determinism_across_workers(start_method):
+    # Each input has several tasks (9 for the grid, 20 for the triangle; the
+    # general path has 9 delta chunks), so workers > 1 starts a pool. The
+    # counts are the single-process results.
+    assert len(_tasks(64, (1, 0, 1), True)) == 9
+    assert len(_tasks(64, (1, 1, 1), False)) == 20
     for w in (1, 2, 8):
         assert grid_census(64, workers=w).distinct == 2_933_509
         assert tri_lattice_census(64, False, workers=w).distinct == 3_651_133
@@ -153,19 +158,19 @@ def pool_sizes(monkeypatch):
 
 
 def test_pool_size_capped_at_task_count(pool_sizes):
-    # tri_lattice_census(64) has 3 tasks; a pool asked for 6 workers would
-    # start 6 processes under fork.
-    assert len(lattice._longest_side_tasks(64, (1, 1, 1))) == 3
-    assert tri_lattice_census(64, False, workers=6).distinct == 3_651_133
-    assert pool_sizes == [3]
+    # tri_lattice_census(64) has 20 tasks; a pool asked for 24 workers would
+    # start 24 processes under fork.
+    assert len(_tasks(64, (1, 1, 1), False)) == 20
+    assert tri_lattice_census(64, False, workers=24).distinct == 3_651_133
+    assert pool_sizes == [20]
 
 
 def test_census_reports_processes_used(pool_sizes):
-    assert tri_lattice_census(64, workers=6).workers == 3
+    assert tri_lattice_census(64, workers=24).workers == 20
     # grid_census(5) has one task, so it runs serially
     assert grid_census(5, workers=4).workers == 1
     assert general_lattice_census(TRIANGULAR_GRAM, 12, workers=2).workers == 2
-    assert pool_sizes == [3, 2]
+    assert pool_sizes == [20, 2]
 
 
 def test_task_list_does_not_depend_on_workers(pool_sizes, monkeypatch):
@@ -177,10 +182,11 @@ def test_task_list_does_not_depend_on_workers(pool_sizes, monkeypatch):
         return real(fn, tasks, workers, combine)
 
     monkeypatch.setattr(lattice, "_run_chunks", recording)
-    for w in (1, 2, 8):
-        assert tri_lattice_census(64, workers=w).workers == min(w, 3)
-    assert len(seen[0]) == 3 and seen[0] == seen[1] == seen[2]
-    assert pool_sizes == [2, 3]
+    for w in (1, 2, 32):
+        assert tri_lattice_census(64, workers=w).workers == min(w, 20)
+    seen = [[(*t[:3], t[3].tolist()) for t in tasks] for tasks in seen]
+    assert len(seen[0]) == 20 and seen[0] == seen[1] == seen[2]
+    assert pool_sizes == [2, 20]
 
 
 # The four shapes of the group G of signed coordinate permutations that keep a
@@ -199,6 +205,13 @@ def _symmetries(q, n):
     ] + [lambda u, v, s=s, t=t: (s * v, t * u) for s in (1, -1) for t in (1, -1)]
     box = [(u, v) for u in range(1 - n, n) for v in range(1 - n, n)]
     return [g for g in maps if all(_q(q, *g(*p)) == _q(q, *p) for p in box)]
+
+
+def _kernel_keys(q, width, side, include_degenerate=True):
+    """The kernel's packed keys for one `_longest_sides` row, in cell order."""
+    cells = (side[4] - side[3] + 1) * (side[6] - side[5] + 1)
+    out = np.empty(cells, dtype=np.int64)
+    return lattice._side_keys(q, width, *side, include_degenerate, out).tolist()
 
 
 @pytest.mark.parametrize("q", list(G_ORDERS))
@@ -223,7 +236,7 @@ def test_half_rule_keeps_one_c_per_swap_pair(q):
         mask = (1 << width) - 1
         shapes = set()
         for du, dv, h, *box in zip(*(a.tolist() for a in lattice._longest_sides(n, q))):
-            keys = lattice._side_keys(q, width, du, dv, h, *box).tolist()
+            keys = _kernel_keys(q, width, (du, dv, h, *box))
             got = sorted(((k >> 2 * width) & mask, (k >> width) & mask, k & mask) for k in keys)
             want = sorted(
                 (_q(q, cu, cv), _q(q, cu - du, cv - dv), h)
@@ -279,7 +292,7 @@ def test_canonical_rule_keeps_one_pair_per_reflection_orbit(n, corner):
             e = scanned[0][0]
             h, u0, u1, v0, v1 = sides[e]
             if e not in side_keys:
-                keys = lattice._side_keys(q, width, *e, h, u0, u1, v0, v1).tolist()
+                keys = _kernel_keys(q, width, (*e, h, u0, u1, v0, v1))
                 side_keys[e] = {((k >> 2 * width) & mask, (k >> width) & mask, k & mask) for k in keys}
             shape = tuple(sorted((qc, qcd, h)))
             for _, f in scanned:
@@ -294,7 +307,7 @@ def test_small_chunks_match_general_path(monkeypatch, deg):
     monkeypatch.setattr(lattice, "_TASK_KEYS", 0)
     for q in G_ORDERS:
         h = lattice._longest_sides(12, q)[2]
-        assert len(lattice._longest_side_tasks(12, q)) == len(set(h.tolist()))
+        assert len(_tasks(12, q, deg)) == len(set(h.tolist()))
         gram = GramForm(*q)
         assert (
             census(LatticeKind.general(gram), 12, deg).distinct
@@ -308,12 +321,68 @@ def test_small_chunks_match_general_path(monkeypatch, deg):
 def test_no_h_group_split_across_tasks(monkeypatch, n, q, budget):
     if budget is not None:
         monkeypatch.setattr(lattice, "_TASK_KEYS", budget)
-    h = lattice._longest_sides(n, q)[2].tolist()
-    bounds = [t[2] for t in lattice._longest_side_tasks(n, q)]
-    assert len(bounds) >= 2
-    assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
-    assert bounds[-1][1] == len(h)
-    assert all(h[lo - 1] < h[lo] for lo, _ in bounds[1:])
+    rows = lattice._longest_sides(n, q)
+    tasks = _tasks(n, q, True)
+    assert len(tasks) >= 2
+    # the tasks hold the rows in order, each row once
+    assert np.array_equal(np.hstack([t[3] for t in tasks]), rows)
+    h = [t[3][2].tolist() for t in tasks]
+    assert all(a[-1] < b[0] for a, b in zip(h, h[1:]))
+
+
+@pytest.mark.parametrize("q", [*G_ORDERS, (1, -1, 3)])
+def test_collinear_mask_drops_exactly_the_zero_area_keys(q):
+    for n in range(2, 9):
+        width = lattice._field_width(n, *q)
+        mask = (1 << width) - 1
+        for side in zip(*(a.tolist() for a in lattice._longest_sides(n, q))):
+            # 16 area^2 = 4ab - (c - a - b)^2 for squared sides a, b, c
+            want = [
+                k for k in _kernel_keys(q, width, side)
+                if 4 * (k >> 2 * width) * ((k >> width) & mask)
+                != ((k & mask) - (k >> 2 * width) - ((k >> width) & mask)) ** 2
+            ]
+            assert _kernel_keys(q, width, side, False) == want
+
+
+@pytest.mark.parametrize("deg", [True, False])
+def test_task_count_is_its_distinct_keys(monkeypatch, deg):
+    # A zero budget gives one task per h group, some of them with no keys.
+    monkeypatch.setattr(lattice, "_TASK_KEYS", 0)
+    empty = 0
+    for q in [*G_ORDERS, (1, -1, 3)]:
+        counts = []
+        for task in _tasks(8, q, deg):
+            keys = [k for side in task[3].T.tolist() for k in _kernel_keys(q, task[1], side, deg)]
+            unique = lattice._sorted_unique([np.array(keys, dtype=np.int64)])
+            assert lattice._longest_side_chunk(task) == unique.size == len(set(keys))
+            counts.append(len(set(keys)))
+        empty += counts.count(0)
+        assert sum(counts) == all_triples_census(8, LatticeKind.general(GramForm(*q)), deg).distinct
+    assert empty > 0
+
+
+def test_memory_guard_refuses_before_any_task_runs(monkeypatch):
+    ran = []
+    real = lattice._longest_side_chunk
+    monkeypatch.setattr(lattice, "_longest_side_chunk", lambda task: ran.append(task) or real(task))
+    tasks = _tasks(64, (1, 1, 1), False)
+    boxes = [[(u1 - u0 + 1) * (v1 - v0 + 1) for *_, u0, u1, v0, v1 in t[3].T.tolist()]
+             for t in tasks]
+    assert [t[4] for t in tasks] == [sum(b) for b in boxes]  # a task's buffer cells
+    one = 8 * max(map(sum, boxes)) + lattice._BOX_BYTES * max(map(max, boxes))
+    # one process fits the budget, two do not
+    monkeypatch.setattr(lattice, "_MEMORY_BUDGET", one)
+    with pytest.raises(CostGuardExceeded, match="pool of 2"):
+        tri_lattice_census(64, False, workers=2)
+    assert ran == []
+    monkeypatch.setattr(lattice, "_MEMORY_BUDGET", one - 1)
+    with pytest.raises(CostGuardExceeded, match="pool of 1"):
+        tri_lattice_census(64, False)
+    assert ran == []
+    monkeypatch.setattr(lattice, "_MEMORY_BUDGET", one)
+    assert tri_lattice_census(64, False).distinct == 3_651_133
+    assert len(ran) == len(tasks)
 
 
 def test_census_dispatch():
@@ -358,6 +427,9 @@ def test_oracle_limit_guard(monkeypatch):
         all_triples_census(9, SQUARE)
     monkeypatch.setenv("DTL_ORACLE_LIMIT", "9")
     assert all_triples_census(9, SQUARE).distinct == grid_census(9).distinct
+    monkeypatch.setenv("DTL_ORACLE_LIMIT", "abc")
+    with pytest.raises(PreconditionError, match="DTL_ORACLE_LIMIT"):
+        all_triples_census(3, SQUARE)
 
 
 def test_series_rows():
