@@ -31,6 +31,9 @@ DEFAULT_ORACLE_LIMIT = 8
 # Cells of the c boxes (a bound on the shape keys) per census task; fixed, so
 # the task list does not depend on workers, and small, so a task sorts 8 MB.
 _TASK_KEYS = 1_000_000
+# The fewest pending keys `_union` merges at once: the cross-check's own
+# floor, independent of the kernel's task size.
+_UNION_KEYS = 10_000_000
 # Bytes a longest-side census may hold at once over all its processes;
 # checked before any task runs (`_check_memory`).
 _MEMORY_BUDGET = 2 << 30
@@ -171,12 +174,12 @@ def _sorted_unique(arrays: list[np.ndarray]) -> np.ndarray:
 def _union(arrays) -> np.ndarray:
     """Sorted distinct keys over an iterable of key arrays. Pending arrays are
     merged in once they hold as many keys as the union so far (and at least
-    _TASK_KEYS), so memory stays a small multiple of the result."""
+    _UNION_KEYS), so memory stays a small multiple of the result."""
     acc, pending, size = np.empty(0, dtype=np.int64), [], 0
     for arr in arrays:
         pending.append(arr)
         size += arr.size
-        if size >= max(acc.size, _TASK_KEYS):
+        if size >= max(acc.size, _UNION_KEYS):
             pending.append(acc)
             acc, size = _sorted_unique(pending), 0
     pending.append(acc)

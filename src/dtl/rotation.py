@@ -5,6 +5,13 @@ Convention: a triple (p, q, r) encodes the rotation angle with cos = q/r and
 sin = p/r, so the image of (a, b) is ((a*q - b*p)/r, (a*p + b*q)/r). A point
 is rotatable by that angle iff both coordinates of the image are integers,
 which collapses to the single congruence a = c*b (mod r) with c = p * q^-1.
+
+Primitive triples come from one numpy generator over coprime m > n >= 1 of
+opposite parity (`_triple_arrays`), which checks what `PythTriple` checks on
+whole arrays. `constant_sum` streams its terms from it without building a
+`PythTriple`, and `count_rotatable_triangles` encodes each triple's rotatable
+point pairs as integers, deduplicates them by one sort and classifies them
+with array operations; `bounding_box_class` stays the per-pair reference.
 """
 
 from __future__ import annotations
@@ -12,10 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt
 
+import numpy as np
+
 from .errors import CostGuardExceeded, PreconditionError
-from .lattice import BoundingBoxClass, bounding_box_class
+from .lattice import BoundingBoxClass, _sorted_unique, bounding_box_class
 
 Point = tuple[int, int]
 Triangle = frozenset  # of Point, always containing the origin
@@ -23,6 +33,8 @@ Triangle = frozenset  # of Point, always containing the origin
 ORIGIN: Point = (0, 0)
 ROTATABLE_TRIANGLE_LIMIT = 64
 MINIMALITY_LIMIT = 12
+_INT64_MAX_R = isqrt(2**63 - 1)  # the largest r whose r^2 fits in int64
+_TRIPLE_CELLS = 1 << 16  # (m, n) cells per block of `_triple_arrays`
 
 
 @dataclass(frozen=True, order=True)
@@ -43,27 +55,39 @@ class PythTriple:
         return PythTriple(self.q, self.p, self.r)
 
 
+def _triple_arrays(max_r: int):
+    """Primitive triples with hypotenuse <= max_r, one leg order, in blocks
+    of consecutive m: int64 arrays p = m^2 - n^2, q = 2mn and r = m^2 + n^2
+    over the coprime m > n >= 1 of opposite parity. A block spans at most
+    _TRIPLE_CELLS (m, n) cells. Refuses a max_r whose r^2 would overflow
+    int64."""
+    if max_r > _INT64_MAX_R:
+        raise CostGuardExceeded(f"triples refused for max_r={max_r} > {_INT64_MAX_R}")
+    m_end = isqrt(max_r - 1) + 1  # m runs while m^2 + 1 <= max_r
+    lo = 2
+    while lo < m_end:
+        hi = min(m_end, max(lo + 1, isqrt(lo * lo + _TRIPLE_CELLS)))
+        m, n = np.ogrid[lo:hi, 1:hi]
+        keep = (n < m) & ((m - n) % 2 == 1) & (m * m + n * n <= max_r) & (np.gcd(m, n) == 1)
+        m, n = np.nonzero(keep)
+        m, n = m + lo, n + 1
+        p, q, r = m * m - n * n, 2 * m * n, m * m + n * n
+        assert (p > 0).all() and (q > 0).all()
+        assert (p * p + q * q == r * r).all() and (np.gcd(p, q) == 1).all()
+        yield p, q, r
+        lo = hi
+
+
 def enum_primitive_triples(max_r: int) -> list[PythTriple]:
     """All primitive triples with hypotenuse <= max_r, both leg orders,
     sorted by (r, p). Generated from coprime m > n >= 1 of opposite parity
     via (m^2 - n^2, 2mn, m^2 + n^2)."""
     if max_r < 5:
         raise PreconditionError("max_r must be at least 5")
-    out = []
-    m = 2
-    while m * m + 1 <= max_r:
-        for n in range(1 + (m % 2), m, 2):
-            r = m * m + n * n
-            if r > max_r:
-                break
-            if gcd(m, n) != 1:
-                continue
-            p, q = m * m - n * n, 2 * m * n
-            out.append(PythTriple(p, q, r))
-            out.append(PythTriple(q, p, r))
-        m += 1
-    out.sort(key=lambda t: (t.r, t.p))
-    return out
+    p, q, r = (np.concatenate(a) for a in zip(*_triple_arrays(max_r)))
+    p, q, r = np.concatenate((p, q)), np.concatenate((q, p)), np.concatenate((r, r))
+    order = np.lexsort((p, r))
+    return [PythTriple(*t) for t in zip(*(a[order].tolist() for a in (p, q, r)))]
 
 
 @lru_cache(maxsize=32)
@@ -193,16 +217,19 @@ def count_rotatable_triangles(n: int,
         raise PreconditionError("n must be >= 2")
     if n > limit:
         raise CostGuardExceeded(f"rotatable-triangle count refused for n={n} > {limit}")
-    pairs: set[tuple[Point, Point]] = set()
+    # A point (u, v) is the code u*n + v and a pair a < b is code(a)*n^2 + code(b).
+    pairs = [np.empty(0, dtype=np.int64)]
     for _, pts in _triples_with_points(n):
-        non_origin = sorted(pts - {ORIGIN})
-        for i, a in enumerate(non_origin):
-            for b in non_origin[i + 1 :]:
-                pairs.add((a, b))
-    three = sum(
-        1 for a, b in pairs if bounding_box_class(a, b) is BoundingBoxClass.THREE_ON_BOX
-    )
-    return RotatableBreakdown(len(pairs), three, len(pairs) - three)
+        codes = np.array(sorted(u * n + v for u, v in pts - {ORIGIN}), dtype=np.int64)
+        i, j = np.triu_indices(codes.size, 1)
+        pairs.append(codes[i] * (n * n) + codes[j])
+    pairs = _sorted_unique(pairs)
+    (au, av), (bu, bv) = np.divmod(pairs // (n * n), n), np.divmod(pairs % (n * n), n)
+    # In the first quadrant the box is [0, max u] x [0, max v]: the origin is
+    # a corner and b, with au <= bu, is on its side u = max u. So {O, a, b} is
+    # three-on-box iff a is on the box too.
+    three = int(np.count_nonzero((au == 0) | (av == 0) | (au == bu) | (av >= bv)))
+    return RotatableBreakdown(int(pairs.size), three, int(pairs.size) - three)
 
 
 def rotatable_pair_sum_bound(n: int) -> int:
@@ -232,12 +259,14 @@ def constant_sum(cutoff: int = 10**5) -> ConstantSum:
 
     At most 2*sqrt(r) triples share a hypotenuse r, so the tail beyond the
     cutoff is at most the integral of x^(-3/2), i.e. 2/sqrt(cutoff - 1).
-    Summation runs in descending r with exact accumulation (math.fsum).
+    Each (m, n) pair is summed once and the sum doubled for the two leg
+    orders, which is exact. math.fsum rounds the exact sum of its terms
+    correctly, so the order of summation does not matter.
     """
     if cutoff < 10**3:
         raise PreconditionError("cutoff must be at least 10^3")
-    rs = sorted((t.r for t in enum_primitive_triples(cutoff)), reverse=True)
-    partial = math.fsum(1.0 / (2.0 * r * r) for r in rs)
+    terms = ((1.0 / (2.0 * r * r)).tolist() for _, _, r in _triple_arrays(cutoff))
+    partial = 2.0 * math.fsum(chain.from_iterable(terms))
     tail = 2.0 / math.sqrt(cutoff - 1)
     return ConstantSum(cutoff, partial, tail, partial + tail)
 
@@ -324,7 +353,10 @@ class MinimalityReport:
 def verify_minimality(n: int, limit: int = MINIMALITY_LIMIT) -> MinimalityReport:
     """For every scalene, non-right, non-degenerate, non-axis-parallel and
     NON-rotatable origin-vertex triangle in [n] x [n], assert that its full
-    congruency class equals its minimal congruency set."""
+    congruency class equals its minimal congruency set. Refuses n < 4, which
+    holds no such triangle."""
+    if n < 4:
+        raise PreconditionError(f"minimality scan needs n >= 4, got {n}")
     if n > limit:
         raise CostGuardExceeded(f"minimality scan refused for n={n} > {limit}")
     pts = [(u, v) for u in range(n) for v in range(n) if (u, v) != ORIGIN]
@@ -388,6 +420,10 @@ def rotatable_point_bound(n: int, r: int) -> int:
 
 
 def lemma32_bound_check(max_r: int, max_n: int) -> BoundCheckReport:
+    if max_r < 5 or max_n < 1:
+        raise PreconditionError(
+            f"bound check needs max_r >= 5 and max_n >= 1, got {max_r} and {max_n}"
+        )
     if max_r > 100 or max_n > 50:
         raise CostGuardExceeded("bound check limited to max_r <= 100, max_n <= 50")
     cases = []

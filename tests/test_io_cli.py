@@ -168,6 +168,19 @@ def test_cli_verify_origin_reduction_needs_two_points(capsys, n):
 
 
 @pytest.mark.parametrize(
+    "lemma, flags, message",
+    [("3.1", ["--n", n], "n >= 4") for n in ("0", "1", "2", "3")]
+    + [("3.2", flags, "max_r >= 5 and max_n >= 1")
+       for flags in (["--max-r", "0"], ["--max-r", "4"], ["--n", "0"])],
+)
+def test_cli_verify_refuses_an_empty_check(capsys, lemma, flags, message):
+    # an input that checks nothing is an error, not a pass with "checked": 0
+    assert run(["verify", "--lemma", lemma, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize(
     "flags, message", [(["--m", "0"], "m > 4"), (["--n", "0"], "n >= m^5")]
 )
 def test_cli_verify_zero_is_not_the_default(capsys, flags, message):

@@ -301,6 +301,16 @@ def test_canonical_rule_keeps_one_pair_per_reflection_orbit(n, corner):
             assert shape in side_keys[e]
 
 
+@pytest.mark.parametrize("floor", [0, 50, 10**7])
+def test_union_merges_to_the_sorted_distinct_keys(monkeypatch, floor):
+    # floor 0 merges after every array, 50 now and then, 10**7 only at the end
+    monkeypatch.setattr(lattice, "_UNION_KEYS", floor)
+    rng = np.random.default_rng(0)
+    arrays = [rng.integers(0, 300, size=s, dtype=np.int64) for s in (0, 7, 40, 1, 200, 3, 90)]
+    want = np.unique(np.concatenate(arrays))
+    assert np.array_equal(lattice._union(a.copy() for a in arrays), want)
+
+
 @pytest.mark.parametrize("deg", [True, False])
 def test_small_chunks_match_general_path(monkeypatch, deg):
     # A zero budget makes every h group its own task.

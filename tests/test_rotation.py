@@ -1,11 +1,13 @@
 """Pythagorean-triple rotations, rotatability counts, minimal congruency sets."""
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtl.errors import CostGuardExceeded, PreconditionError
+from dtl.lattice import BoundingBoxClass, bounding_box_class
 from dtl.rotation import (
     PythTriple,
     constant_sum,
@@ -55,6 +57,32 @@ def test_triples_sorted_both_orders():
     assert ts == sorted(ts, key=lambda t: (t.r, t.p))
     legs = {(t.p, t.q) for t in ts}
     assert all((q, p) in legs for p, q in legs)
+
+
+def _reference_triples(max_r):
+    """Both leg orders of every coprime m > n >= 1 of opposite parity with
+    m^2 + n^2 <= max_r, sorted by (r, p), in plain Python."""
+    out = []
+    for m in range(2, math.isqrt(max_r) + 1):
+        for n in range(1, m):
+            r = m * m + n * n
+            if (m - n) % 2 and math.gcd(m, n) == 1 and r <= max_r:
+                out += [(m * m - n * n, 2 * m * n, r), (2 * m * n, m * m - n * n, r)]
+    return sorted(out, key=lambda t: (t[2], t[0]))
+
+
+def test_enum_matches_plain_reference():
+    ref = _reference_triples(700)
+    for max_r in range(5, 701):
+        got = [(t.p, t.q, t.r) for t in enum_primitive_triples(max_r)]
+        assert got == [t for t in ref if t[2] <= max_r]
+
+
+@pytest.mark.parametrize("build", [enum_primitive_triples, constant_sum])
+def test_triples_refuse_int64_overflow(build):
+    # r^2 of a hypotenuse above isqrt(2^63 - 1) = 3,037,000,499 overflows int64
+    with pytest.raises(CostGuardExceeded):
+        build(3_037_000_500)
 
 
 def test_invalid_triple_rejected():
@@ -147,6 +175,12 @@ def test_point_bound_table():
     assert rotatable_point_bound(2, 13) == 1  # r > 2n²: origin only
 
 
+@pytest.mark.parametrize("max_r, max_n", [(4, 30), (50, 0)])
+def test_lemma32_refuses_an_empty_check(max_r, max_n):
+    with pytest.raises(PreconditionError):
+        lemma32_bound_check(max_r, max_n)
+
+
 def test_lemma32_bounds_hold():
     rep = lemma32_bound_check(50, 30)
     assert rep.violations == []
@@ -180,6 +214,29 @@ def test_count_rotatable_triangles_small():
     assert b.total <= rotatable_pair_sum_bound(8)
 
 
+def _reference_breakdown(n):
+    """Rotatable origin-vertex triangles of [n] x [n] as a plain-Python pair
+    set, each classified by `bounding_box_class`."""
+    grid = [(u, v) for u in range(n) for v in range(n) if (u, v) != (0, 0)]
+    pairs = set()
+    for t in enum_primitive_triples(max(5, 2 * (n - 1) ** 2)):
+        pts = [pt for pt in grid if is_rotatable_by(pt, t)]
+        pairs.update(combinations(pts, 2))
+    three = sum(bounding_box_class(a, b) is BoundingBoxClass.THREE_ON_BOX for a, b in pairs)
+    return (len(pairs), three, len(pairs) - three)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_count_rotatable_triangles_matches_pair_set(n):
+    b = count_rotatable_triangles(n)
+    assert (b.total, b.three_on_box, b.two_on_box) == _reference_breakdown(n)
+
+
+def test_count_rotatable_triangles_n40():
+    b = count_rotatable_triangles(40)
+    assert (b.total, b.three_on_box, b.two_on_box) == (130_730, 72_739, 57_991)
+
+
 def test_count_rotatable_triangles_limit():
     with pytest.raises(CostGuardExceeded):
         count_rotatable_triangles(65)
@@ -190,6 +247,18 @@ def test_count_rotatable_triangles_limit():
 def test_constant_sum_cutoff_guard():
     with pytest.raises(PreconditionError):
         constant_sum(999)
+
+
+@pytest.mark.parametrize("cutoff, partial", [
+    (1000, 0.056680238289353854),
+    (2000, 0.056761037552419465),
+    (12345, 0.056827408462504746),
+    (10**5, 0.05683871783246837),
+    (10**6, 0.05684014989718507),
+])
+def test_constant_sum_partial_is_exact(cutoff, partial):
+    # the correctly rounded sum over both leg orders, bit for bit
+    assert constant_sum(cutoff).partial == partial
 
 
 def test_constant_sum_values():
@@ -259,6 +328,13 @@ def test_verify_minimality_small():
 def test_verify_minimality_guard():
     with pytest.raises(CostGuardExceeded):
         verify_minimality(13)
+
+
+def test_verify_minimality_smallest_n():
+    # n = 4 is the smallest grid holding a triangle the scan checks
+    assert verify_minimality(4).checked == 6
+    with pytest.raises(PreconditionError):
+        verify_minimality(3)
 
 
 # --- asymptotic spot check --------------------------------------------------
