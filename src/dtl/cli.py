@@ -302,7 +302,10 @@ def _cmd_verify(args, sink: _Sink) -> int:
                 f"{c.triple.p},{c.triple.q},{c.triple.r},{c.n},{c.count},{c.bound},{_bool(c.ok)}"
                 for c in rep.cases
             ]
-            Path(args.cases_csv).write_text("\n".join(rows) + "\n")
+            try:
+                Path(args.cases_csv).write_text("\n".join(rows) + "\n")
+            except OSError as e:
+                raise DtlError(f"cannot write {args.cases_csv}: {e}") from e
         sink.json(
             {
                 "op": "verify-rotatable-point-bounds",
@@ -347,14 +350,13 @@ def _cmd_ngon(args, sink: _Sink) -> int:
 
 
 def _ground_set(spec: str, tolerance: float, sink: _Sink):
-    if spec.startswith("ngon:"):
-        return make_ngon_ground_set(int(spec[5:]), tolerance)
-    if spec.startswith("grid:"):
-        return grid_ground_set(int(spec[5:]))
-    if spec.startswith("file:"):
-        path = spec[5:]
-        sink.note_input(path)
-        return ground_set_from_file(path, tolerance)
+    kind, _, arg = spec.partition(":")
+    if kind == "file":
+        sink.note_input(arg)
+        return ground_set_from_file(arg, tolerance)
+    if kind in ("ngon", "grid") and arg.isdecimal():
+        n = int(arg)
+        return make_ngon_ground_set(n, tolerance) if kind == "ngon" else grid_ground_set(n)
     raise DtlError(f"bad ground spec {spec!r}; expected ngon:<n>, grid:<n>, or file:<path>")
 
 
@@ -471,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="maximum subset spanning at most k shapes")
     p.add_argument("--ground", required=True, help="ngon:<n> | grid:<n> | file:<path>")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--size-cap", type=int)
+    p.add_argument("--size-cap", type=_positive_int)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     add_out(p)
     p.set_defaults(func=_cmd_search)

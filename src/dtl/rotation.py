@@ -6,12 +6,12 @@ sin = p/r, so the image of (a, b) is ((a*q - b*p)/r, (a*p + b*q)/r). A point
 is rotatable by that angle iff both coordinates of the image are integers,
 which collapses to the single congruence a = c*b (mod r) with c = p * q^-1.
 
-Primitive triples come from one numpy generator over coprime m > n >= 1 of
+Every triple comes from one numpy generator over coprime m > n >= 1 of
 opposite parity (`_triple_arrays`), which checks what `PythTriple` checks on
-whole arrays. `constant_sum` streams its terms from it without building a
-`PythTriple`, and `count_rotatable_triangles` encodes each triple's rotatable
-point pairs as integers, deduplicates them by one sort and classifies them
-with array operations; `bounding_box_class` stays the per-pair reference.
+whole arrays, and every rotatable pair from one table (`_rotatable_pairs`):
+each triple's rotatable points encoded as integers, paired and deduplicated
+by one sort. `count_rotatable_triangles` classifies the table with array
+operations; `bounding_box_class` stays the per-pair reference.
 """
 
 from __future__ import annotations
@@ -128,11 +128,12 @@ def is_rotatable_by(pt: Point, t: PythTriple) -> bool:
 
 def is_rotatable_point(pt: Point) -> bool:
     """True iff some rotation by an angle not a multiple of 90 degrees keeps
-    pt on the lattice. Triple search up to r <= |pt|^2 is definitional."""
+    pt on the lattice."""
     if pt == ORIGIN:
         raise PreconditionError("rotatability of the origin is vacuous")
     norm = pt[0] * pt[0] + pt[1] * pt[1]
-    return any(is_rotatable_by(pt, t) for t in _triples_upto(norm))
+    # A triple that rotates pt has r | norm, so any list reaching norm will do.
+    return any(is_rotatable_by(pt, t) for t in _triples_upto(1 << norm.bit_length()))
 
 
 def has_split_prime_factor(n: int) -> bool:
@@ -177,16 +178,17 @@ def count_rotatable_points(n: int, t: PythTriple) -> int:
     return len(rotatable_points(n, t))
 
 
-def _triples_with_points(n: int) -> list[tuple[PythTriple, frozenset[Point]]]:
-    """Triples that rotate at least one non-origin point of [n] x [n],
-    paired with their full rotatable point sets."""
-    max_r = 2 * (n - 1) * (n - 1)
-    out = []
-    for t in _triples_upto(max_r):
-        pts = frozenset(rotatable_points(n, t))
-        if len(pts) > 1:
-            out.append((t, pts))
-    return out
+def _rotatable_pairs(n: int) -> np.ndarray:
+    """Sorted distinct codes of the non-origin point pairs of [n] x [n] that
+    one angle rotates together. A point (u, v) is the code u*n + v and a pair
+    a < b is code(a)*n^2 + code(b)."""
+    pairs = [np.empty(0, dtype=np.int64)]
+    for t in _triples_upto(2 * (n - 1) * (n - 1)):
+        u, v = np.array(rotatable_points(n, t), dtype=np.int64).T
+        codes = np.sort(u * n + v)[1:]  # the origin is code 0
+        i, j = np.triu_indices(codes.size, 1)
+        pairs.append(codes[i] * (n * n) + codes[j])
+    return _sorted_unique(pairs)
 
 
 def is_rotatable_triangle(a: Point, b: Point) -> bool:
@@ -195,7 +197,8 @@ def is_rotatable_triangle(a: Point, b: Point) -> bool:
         raise PreconditionError("O, a, b must be pairwise distinct")
     bound = min(a[0] * a[0] + a[1] * a[1], b[0] * b[0] + b[1] * b[1])
     return any(
-        is_rotatable_by(a, t) and is_rotatable_by(b, t) for t in _triples_upto(bound)
+        is_rotatable_by(a, t) and is_rotatable_by(b, t)
+        for t in _triples_upto(1 << bound.bit_length())
     )
 
 
@@ -209,21 +212,17 @@ class RotatableBreakdown:
         assert self.total == self.three_on_box + self.two_on_box
 
 
-def count_rotatable_triangles(n: int,
-                              limit: int = ROTATABLE_TRIANGLE_LIMIT) -> RotatableBreakdown:
+def count_rotatable_triangles(n: int) -> RotatableBreakdown:
     """Exact count of rotatable origin-vertex triangles in [n] x [n], broken
-    down by bounding-box class. Desk-scale: refuses n above `limit`."""
+    down by bounding-box class. Desk-scale: refuses n above
+    ROTATABLE_TRIANGLE_LIMIT."""
     if n < 2:
         raise PreconditionError("n must be >= 2")
-    if n > limit:
-        raise CostGuardExceeded(f"rotatable-triangle count refused for n={n} > {limit}")
-    # A point (u, v) is the code u*n + v and a pair a < b is code(a)*n^2 + code(b).
-    pairs = [np.empty(0, dtype=np.int64)]
-    for _, pts in _triples_with_points(n):
-        codes = np.array(sorted(u * n + v for u, v in pts - {ORIGIN}), dtype=np.int64)
-        i, j = np.triu_indices(codes.size, 1)
-        pairs.append(codes[i] * (n * n) + codes[j])
-    pairs = _sorted_unique(pairs)
+    if n > ROTATABLE_TRIANGLE_LIMIT:
+        raise CostGuardExceeded(
+            f"rotatable-triangle count refused for n={n} > {ROTATABLE_TRIANGLE_LIMIT}"
+        )
+    pairs = _rotatable_pairs(n)
     (au, av), (bu, bv) = np.divmod(pairs // (n * n), n), np.divmod(pairs % (n * n), n)
     # In the first quadrant the box is [0, max u] x [0, max v]: the origin is
     # a corner and b, with au <= bu, is on its side u = max u. So {O, a, b} is
@@ -235,11 +234,10 @@ def count_rotatable_triangles(n: int,
 def rotatable_pair_sum_bound(n: int) -> int:
     """Sum over triples of C(f, 2) with f the rotatable-point count (origin
     excluded): an upper bound on the rotatable-triangle count."""
-    total = 0
-    for _, pts in _triples_with_points(n):
-        f = len(pts) - 1
-        total += f * (f - 1) // 2
-    return total
+    return sum(
+        math.comb(count_rotatable_points(n, t) - 1, 2)
+        for t in _triples_upto(2 * (n - 1) * (n - 1))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +322,26 @@ def minimal_congruency_set(a: Point, b: Point) -> set[Triangle]:
     return {frozenset((ORIGIN, u, v)) for u, v in tris}
 
 
+def _origin_classes(n: int) -> dict[tuple[int, int, int], set[Triangle]]:
+    """Every origin-vertex triangle of [n] x [n], grouped by shape key; a
+    brute-force scan over all pairs."""
+    pts = [(u, v) for u in range(n) for v in range(n) if (u, v) != ORIGIN]
+    classes: dict[tuple[int, int, int], set[Triangle]] = {}
+    for i, c in enumerate(pts):
+        for d in pts[i + 1 :]:
+            classes.setdefault(_shape_key(c, d), set()).add(frozenset((ORIGIN, c, d)))
+    return classes
+
+
 def congruency_class_at_origin(a: Point, b: Point, n: int) -> set[Triangle]:
     """All origin-vertex triangles inside [n] x [n] with the same shape key as
-    {O, a, b}; brute-force scan over all pairs."""
+    {O, a, b}."""
     for p in (a, b):
         if not (0 <= p[0] < n and 0 <= p[1] < n):
             raise PreconditionError(f"point {p} outside [{n}] x [{n}]")
     if a == ORIGIN or b == ORIGIN or a == b:
         raise PreconditionError("O, a, b must be pairwise distinct")
-    target = _shape_key(a, b)
-    pts = [(u, v) for u in range(n) for v in range(n) if (u, v) != ORIGIN]
-    out = set()
-    for i, c in enumerate(pts):
-        for d in pts[i + 1 :]:
-            if _shape_key(c, d) == target:
-                out.add(frozenset((ORIGIN, c, d)))
-    return out
+    return _origin_classes(n)[_shape_key(a, b)]
 
 
 @dataclass
@@ -350,21 +352,18 @@ class MinimalityReport:
     violations: list[tuple[Point, Point]]
 
 
-def verify_minimality(n: int, limit: int = MINIMALITY_LIMIT) -> MinimalityReport:
+def verify_minimality(n: int) -> MinimalityReport:
     """For every scalene, non-right, non-degenerate, non-axis-parallel and
     NON-rotatable origin-vertex triangle in [n] x [n], assert that its full
     congruency class equals its minimal congruency set. Refuses n < 4, which
-    holds no such triangle."""
+    holds no such triangle, and n above MINIMALITY_LIMIT."""
     if n < 4:
         raise PreconditionError(f"minimality scan needs n >= 4, got {n}")
-    if n > limit:
-        raise CostGuardExceeded(f"minimality scan refused for n={n} > {limit}")
+    if n > MINIMALITY_LIMIT:
+        raise CostGuardExceeded(f"minimality scan refused for n={n} > {MINIMALITY_LIMIT}")
     pts = [(u, v) for u in range(n) for v in range(n) if (u, v) != ORIGIN]
-    by_shape: dict[tuple[int, int, int], set[Triangle]] = {}
-    for i, c in enumerate(pts):
-        for d in pts[i + 1 :]:
-            by_shape.setdefault(_shape_key(c, d), set()).add(frozenset((ORIGIN, c, d)))
-    triple_sets = _triples_with_points(n)
+    by_shape = _origin_classes(n)
+    rotatable = set(_rotatable_pairs(n).tolist())
     checked = 0
     skipped_axis = 0
     violations = []
@@ -375,7 +374,7 @@ def verify_minimality(n: int, limit: int = MINIMALITY_LIMIT) -> MinimalityReport
                 if reason == _AXIS_PARALLEL:
                     skipped_axis += 1
                 continue
-            if any(a in s and b in s for _, s in triple_sets):
+            if (a[0] * n + a[1]) * n * n + b[0] * n + b[1] in rotatable:
                 continue  # rotatable: the lemma says nothing about these
             if by_shape[_shape_key(a, b)] != minimal_congruency_set(a, b):
                 violations.append((a, b))
@@ -446,21 +445,18 @@ class SpotCheckReport:
 
 
 def smallest_triple_with_r_at_least(r_min: int) -> PythTriple:
-    """The primitive triple (smaller leg first) with minimal hypotenuse >= r_min."""
-    best = None
-    m = max(2, isqrt(max(r_min // 2 - 1, 0)))
-    # Scan m upward; stop once m^2 + 1 alone exceeds the best hypotenuse found.
-    while best is None or m * m + 1 <= best.r:
-        for n in range(1 + (m % 2), m, 2):
-            r = m * m + n * n
-            if r < r_min or gcd(m, n) != 1:
-                continue
-            p, q = sorted((m * m - n * n, 2 * m * n))
-            t = PythTriple(p, q, r)
-            if best is None or (t.r, t.p) < (best.r, best.p):
-                best = t
-        m += 1
-    return best
+    """The primitive triple (smaller leg first) with minimal hypotenuse >= r_min.
+    A prime = 1 (mod 4), a primitive hypotenuse, lies in (x, 2x] for x >= 7
+    (Breusch 1932), so r <= 2 r_min + 8 holds it; the + 8 covers r_min < 7."""
+    found = []
+    for p, q, r in _triple_arrays(2 * max(r_min, 0) + 8):
+        keep = r >= r_min
+        if keep.any():
+            r, p = r[keep], np.minimum(p, q)[keep]
+            i = np.lexsort((p, r))[0]
+            found.append((int(r[i]), int(p[i])))
+    r, p = min(found)
+    return PythTriple(p, isqrt(r * r - p * p), r)
 
 
 def lemma33_spot_check(m: int, n: int, t: PythTriple) -> SpotCheckReport:

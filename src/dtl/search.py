@@ -98,6 +98,8 @@ def make_ngon_ground_set(n: int, tolerance: float = DEFAULT_TOLERANCE) -> Ground
 
 
 def grid_ground_set(n: int) -> GroundSet:
+    if n < 1:
+        raise PreconditionError("grid needs n >= 1")
     pts = [QPoint(u, v) for u in range(n) for v in range(n)]
     return ground_set_from_points(pts, label=f"grid:{n}")
 
@@ -134,16 +136,7 @@ def max_subset_with_k_shapes(
     t0 = time.monotonic()
     n = ground.size
     cap = min(size_cap, n) if size_cap is not None else n
-
-    # Greedy pass seeds the incumbent bound (witnesses come from the DFS).
-    greedy: list[int] = []
-    gshapes: set = set()
-    for i in range(n):
-        added = _new_shapes(ground, greedy, i, gshapes)
-        if len(gshapes | added) <= k and len(greedy) + 1 <= cap:
-            gshapes |= added
-            greedy.append(i)
-    best = len(greedy)
+    best = 0
     witnesses: list[tuple[int, ...]] = []
     nodes = 0
 
@@ -173,7 +166,6 @@ def max_subset_with_k_shapes(
             shapes.difference_update(added)
 
     dfs(0)
-    witnesses = [w for w in witnesses if len(w) == best]
     return SearchResult(k, best, witnesses, nodes, (time.monotonic() - t0) * 1000.0)
 
 

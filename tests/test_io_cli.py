@@ -212,6 +212,29 @@ def test_cli_search(capsys):
     assert payload["witnesses"][0]["verified"] is True
 
 
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_cli_search_size_cap_below_one_is_a_usage_error(capsys, cap):
+    assert run(["search", "--ground", "ngon:6", "--k", "2", "--size-cap", cap]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ground, message", [
+    ("ngon:abc", "bad ground spec"), ("grid:x", "bad ground spec"),
+    ("disc:5", "bad ground spec"), ("grid:0", "grid needs n >= 1"),
+])
+def test_cli_search_bad_ground_is_an_error(capsys, ground, message):
+    assert run(["search", "--ground", ground, "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
+
+
+def test_cli_verify_unwritable_cases_csv_is_an_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "cases.csv"
+    assert run(["verify", "--lemma", "3.2", "--cases-csv", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: cannot write {path}" in captured.err
+
+
 def test_cli_pointset(tmp_path, capsys):
     f = tmp_path / "hex.dtl"
     f.write_text(HEX_TEXT)

@@ -1,5 +1,6 @@
 """Pythagorean-triple rotations, rotatability counts, minimal congruency sets."""
 
+import bisect
 import math
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dtl.errors import CostGuardExceeded, PreconditionError
 from dtl.lattice import BoundingBoxClass, bounding_box_class
 from dtl.rotation import (
+    _INT64_MAX_R,
     PythTriple,
     constant_sum,
     congruency_class_at_origin,
@@ -232,6 +234,16 @@ def test_count_rotatable_triangles_matches_pair_set(n):
     assert (b.total, b.three_on_box, b.two_on_box) == _reference_breakdown(n)
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_rotatable_pair_sum_bound_matches_plain_sum(n):
+    grid = [(u, v) for u in range(n) for v in range(n) if (u, v) != (0, 0)]
+    want = 0
+    for t in enum_primitive_triples(max(5, 2 * (n - 1) ** 2)):
+        f = sum(is_rotatable_by(pt, t) for pt in grid)
+        want += f * (f - 1) // 2
+    assert rotatable_pair_sum_bound(n) == want
+
+
 def test_count_rotatable_triangles_n40():
     b = count_rotatable_triangles(40)
     assert (b.total, b.three_on_box, b.two_on_box) == (130_730, 72_739, 57_991)
@@ -325,6 +337,14 @@ def test_verify_minimality_small():
     assert rep.checked > 0
 
 
+@pytest.mark.parametrize("n, checked, skipped", [
+    (6, 140, 268), (8, 704, 828), (10, 2144, 1852), (12, 5180, 3484),
+])
+def test_verify_minimality_counts(n, checked, skipped):
+    rep = verify_minimality(n)
+    assert (rep.checked, rep.skipped_axis_parallel, rep.violations) == (checked, skipped, [])
+
+
 def test_verify_minimality_guard():
     with pytest.raises(CostGuardExceeded):
         verify_minimality(13)
@@ -346,6 +366,21 @@ def test_smallest_triple_selection():
     assert t.r == min(
         u.r for u in enum_primitive_triples(t.r) if u.r >= 3906250
     )
+
+
+def test_smallest_triple_matches_plain_reference():
+    ref = _reference_triples(6100)  # sorted by (r, p): the first of each r has p < q
+    rs = [t[2] for t in ref]
+    for r_min in range(3001):
+        t = smallest_triple_with_r_at_least(r_min)
+        assert (t.p, t.q, t.r) == ref[bisect.bisect_left(rs, r_min)]
+
+
+@pytest.mark.parametrize("r_min", [(_INT64_MAX_R - 8) // 2 + 1, 10**12])
+def test_smallest_triple_refuses_beyond_int64_window(r_min):
+    # the search window 2 r_min + 8 would pass the int64 guard
+    with pytest.raises(CostGuardExceeded):
+        smallest_triple_with_r_at_least(r_min)
 
 
 def test_lemma33_spot_check():
