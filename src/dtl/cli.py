@@ -2,13 +2,14 @@
 
 Tables are emitted as CSV, reports as JSON; `--out` writes the payload to a
 file and drops a run manifest next to it so every artifact is tied to the
-exact parameters that produced it.
+exact parameters that produced it. A table command writes its lines to the
+sink; a report command returns its payload, and `run` times it, writes it and
+exits 1 when it says `"pass": false`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import io
 import json
@@ -82,9 +83,6 @@ class _Sink:
     def line(self, text: str) -> None:
         self.buffer.write(text + "\n")
 
-    def json(self, payload: dict) -> None:
-        self.buffer.write(json.dumps(payload, indent=2, default=_jsonable) + "\n")
-
     def finish(self) -> None:
         data = self.buffer.getvalue()
         if self.out_path is None:
@@ -94,7 +92,7 @@ class _Sink:
             self.out_path.write_text(data)
             manifest = {
                 "command": self.command,
-                "params": {k: _jsonable_param(v) for k, v in self.params.items()},
+                "params": self.params,
                 "artifact_version": __version__,
                 "started_at": self.started_at,
                 "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -105,16 +103,6 @@ class _Sink:
             manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
         except OSError as e:
             raise DtlError(f"cannot write output {self.out_path}: {e}") from e
-
-
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
-    return str(obj)
-
-
-def _jsonable_param(v):
-    return v if isinstance(v, (int, float, bool, str)) else str(v)
 
 
 def _parse_triple(text: str) -> PythTriple:
@@ -184,73 +172,60 @@ def _census_row(c) -> str:
 # Subcommands
 
 
-def _cmd_census(args, sink: _Sink) -> int:
+def _cmd_census(args, sink: _Sink) -> None:
     kind = _lattice_kind(args)
-    sink.line(CENSUS_COLUMNS)
-    if args.series:
+    if args.series is None:
+        if args.n is None:
+            raise DtlError("census requires --n or --series")
+        if args.fit:
+            raise DtlError("census --fit requires --series")
+        rows = [census(kind, args.n, args.include_degenerate, args.workers)]
+    elif args.n is not None:
+        raise DtlError("census takes --n or --series, not both")
+    else:
         rows = census_series(
             kind, _parse_series(args.series), args.include_degenerate, args.workers
         )
-        for r in rows:
-            sink.line(_census_row(r))
-        if args.fit:
-            fit = ratio_fit(rows)
-            sink.line(f"# fit c={_fmt(fit.c)} d={_fmt(fit.d)} residual={_fmt(fit.residual)}")
-        return 0
-    if args.n is None:
-        raise DtlError("census requires --n or --series")
-    sink.line(_census_row(census(kind, args.n, args.include_degenerate, args.workers)))
-    return 0
+    sink.line(CENSUS_COLUMNS)
+    for r in rows:
+        sink.line(_census_row(r))
+    if args.fit:
+        fit = ratio_fit(rows)
+        sink.line(f"# fit c={_fmt(fit.c)} d={_fmt(fit.d)} residual={_fmt(fit.residual)}")
 
 
-def _cmd_rotatable(args, sink: _Sink) -> int:
-    t0 = time.monotonic()
+def _cmd_rotatable(args, sink: _Sink) -> dict:
     if args.count_triangles:
         b = count_rotatable_triangles(args.n)
-        sink.json(
-            {
-                "op": "count-rotatable-triangles",
-                "params": {"n": args.n},
-                "total": b.total,
-                "three_on_box": b.three_on_box,
-                "two_on_box": b.two_on_box,
-                "elapsed_ms": (time.monotonic() - t0) * 1000.0,
-            }
-        )
-        return 0
+        return {
+            "op": "count-rotatable-triangles",
+            "params": {"n": args.n},
+            "total": b.total,
+            "three_on_box": b.three_on_box,
+            "two_on_box": b.two_on_box,
+        }
     if args.triple is None:
         raise DtlError("rotatable requires --triple p,q,r or --count-triangles")
     t = _parse_triple(args.triple)
-    count = count_rotatable_points(args.n, t)
-    sink.json(
-        {
-            "op": "count-rotatable-points",
-            "params": {"n": args.n, "triple": [t.p, t.q, t.r]},
-            "count": count,
-            "elapsed_ms": (time.monotonic() - t0) * 1000.0,
-        }
-    )
-    return 0
+    return {
+        "op": "count-rotatable-points",
+        "params": {"n": args.n, "triple": [t.p, t.q, t.r]},
+        "count": count_rotatable_points(args.n, t),
+    }
 
 
-def _cmd_constant(args, sink: _Sink) -> int:
-    t0 = time.monotonic()
+def _cmd_constant(args, sink: _Sink) -> dict:
     c = constant_sum(args.cutoff)
-    sink.json(
-        {
-            "op": "constant",
-            "params": {"cutoff": args.cutoff},
-            "partial": c.partial,
-            "tail_bound": c.tail_bound,
-            "total_bound": c.total_bound,
-            "elapsed_ms": (time.monotonic() - t0) * 1000.0,
-        }
-    )
-    return 0
+    return {
+        "op": "constant",
+        "params": {"cutoff": args.cutoff},
+        "partial": c.partial,
+        "tail_bound": c.tail_bound,
+        "total_bound": c.total_bound,
+    }
 
 
-def _cmd_verify(args, sink: _Sink) -> int:
-    t0 = time.monotonic()
+def _cmd_verify(args, sink: _Sink) -> dict:
     if args.lemma == "origin-reduction":
         n_max = 6 if args.n is None else args.n
         if n_max < 2:
@@ -266,33 +241,25 @@ def _cmd_verify(args, sink: _Sink) -> int:
                         mismatches.append({"lattice": kind.name, "n": n,
                                            "include_degenerate": deg,
                                            "reduced": fast, "oracle": slow})
-        sink.json(
-            {
-                "op": "verify-origin-reduction",
-                "params": {"n_max": n_max},
-                "checked": 2 * len(kinds) * (n_max - 1),
-                "violations": mismatches,
-                "pass": not mismatches,
-                "elapsed_ms": (time.monotonic() - t0) * 1000.0,
-            }
-        )
-        return 0 if not mismatches else 1
+        return {
+            "op": "verify-origin-reduction",
+            "params": {"n_max": n_max},
+            "checked": 2 * len(kinds) * (n_max - 1),
+            "violations": mismatches,
+            "pass": not mismatches,
+        }
     if args.lemma == "3.1":
         if args.n is None:
             raise DtlError("verify --lemma 3.1 requires --n")
         rep = verify_minimality(args.n)
-        sink.json(
-            {
-                "op": "verify-minimality",
-                "params": {"n": args.n},
-                "checked": rep.checked,
-                "skipped_axis_parallel": rep.skipped_axis_parallel,
-                "violations": [list(map(list, v)) for v in rep.violations],
-                "pass": not rep.violations,
-                "elapsed_ms": (time.monotonic() - t0) * 1000.0,
-            }
-        )
-        return 0 if not rep.violations else 1
+        return {
+            "op": "verify-minimality",
+            "params": {"n": args.n},
+            "checked": rep.checked,
+            "skipped_axis_parallel": rep.skipped_axis_parallel,
+            "violations": [list(map(list, v)) for v in rep.violations],
+            "pass": not rep.violations,
+        }
     if args.lemma == "3.2":
         max_r = 50 if args.max_r is None else args.max_r
         max_n = 30 if args.n is None else args.n
@@ -306,17 +273,13 @@ def _cmd_verify(args, sink: _Sink) -> int:
                 Path(args.cases_csv).write_text("\n".join(rows) + "\n")
             except OSError as e:
                 raise DtlError(f"cannot write {args.cases_csv}: {e}") from e
-        sink.json(
-            {
-                "op": "verify-rotatable-point-bounds",
-                "params": {"max_r": max_r, "max_n": max_n},
-                "checked": len(rep.cases),
-                "violations": len(rep.violations),
-                "pass": not rep.violations,
-                "elapsed_ms": (time.monotonic() - t0) * 1000.0,
-            }
-        )
-        return 0 if not rep.violations else 1
+        return {
+            "op": "verify-rotatable-point-bounds",
+            "params": {"max_r": max_r, "max_n": max_n},
+            "checked": len(rep.cases),
+            "violations": len(rep.violations),
+            "pass": not rep.violations,
+        }
     # lemma 3.3
     m = 5 if args.m is None else args.m
     n = m**5 if args.n is None else args.n
@@ -324,29 +287,24 @@ def _cmd_verify(args, sink: _Sink) -> int:
         2 * m**4 * n
     )
     rep = lemma33_spot_check(m, n, t)
-    sink.json(
-        {
-            "op": "verify-refined-point-bound",
-            "params": {"m": m, "n": n, "triple": [t.p, t.q, t.r]},
-            "count": rep.count,
-            "bound": rep.bound,
-            "pass": rep.ok,
-            "elapsed_ms": (time.monotonic() - t0) * 1000.0,
-        }
-    )
-    return 0 if rep.ok else 1
+    return {
+        "op": "verify-refined-point-bound",
+        "params": {"m": m, "n": n, "triple": [t.p, t.q, t.r]},
+        "count": rep.count,
+        "bound": rep.bound,
+        "pass": rep.ok,
+    }
 
 
-def _cmd_ngon(args, sink: _Sink) -> int:
+def _cmd_ngon(args, sink: _Sink) -> None:
     if args.series:
         sink.line("n,count,ratio")
         for n, count, ratio in ngon_asymptotic_check(_parse_series(args.series)):
             sink.line(f"{n},{count},{_fmt(ratio)}")
-        return 0
+        return
     if args.n is None:
         raise DtlError("ngon requires --n or --series")
     sink.line(f"{args.n},{ngon_distinct_triangles(args.n)}")
-    return 0
 
 
 def _ground_set(spec: str, tolerance: float, sink: _Sink):
@@ -360,7 +318,7 @@ def _ground_set(spec: str, tolerance: float, sink: _Sink):
     raise DtlError(f"bad ground spec {spec!r}; expected ngon:<n>, grid:<n>, or file:<path>")
 
 
-def _cmd_search(args, sink: _Sink) -> int:
+def _cmd_search(args, sink: _Sink) -> dict:
     ground = _ground_set(args.ground, args.tolerance, sink)
     result = max_subset_with_k_shapes(ground, args.k, args.size_cap)
     witnesses = [
@@ -371,20 +329,17 @@ def _cmd_search(args, sink: _Sink) -> int:
         }
         for w in result.witnesses
     ]
-    sink.json(
-        {
-            "op": "search",
-            "params": {"ground": ground.label, "k": args.k, "size_cap": args.size_cap},
-            "max_size": result.max_size,
-            "witnesses": witnesses,
-            "nodes_explored": result.nodes_explored,
-            "elapsed_ms": result.elapsed_ms,
-        }
-    )
-    return 0
+    return {
+        "op": "search",
+        "params": {"ground": ground.label, "k": args.k, "size_cap": args.size_cap},
+        "max_size": result.max_size,
+        "witnesses": witnesses,
+        "nodes_explored": result.nodes_explored,
+        "elapsed_ms": result.elapsed_ms,
+    }
 
 
-def _cmd_pointset(args, sink: _Sink) -> int:
+def _cmd_pointset(args, sink: _Sink) -> None:
     sink.note_input(args.file)
     ground = ground_set_from_file(args.file, args.tolerance)
     shapes = ground.sorted_sides()
@@ -395,19 +350,17 @@ def _cmd_pointset(args, sink: _Sink) -> int:
     sink.line(f"distinct_triangles,{len(shapes)}")
     for s in shapes:
         sink.line("shape," + ",".join(map(str, s)))
-    return 0
 
 
-def _cmd_triples(args, sink: _Sink) -> int:
+def _cmd_triples(args, sink: _Sink) -> None:
     triples = enum_primitive_triples(args.max_r)
     if args.count_only:
         sink.line(str(len(triples)))
-        return 0
+        return
     sink.line("p,q,r")
     for t in triples:
         sink.line(f"{t.p},{t.q},{t.r}")
     sink.line(f"# count,{len(triples)}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +456,17 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     sink = _Sink(args, args.command)
+    t0 = time.monotonic()
     try:
-        code = args.func(args, sink)
+        report = args.func(args, sink)
+        if report is not None:
+            report.setdefault("elapsed_ms", (time.monotonic() - t0) * 1000.0)
+            sink.line(json.dumps(report, indent=2))
         sink.finish()
-        return code
     except DtlError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 1 if report is not None and report.get("pass") is False else 0
 
 
 def main() -> None:

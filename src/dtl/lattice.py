@@ -487,36 +487,18 @@ def all_triples_census(
 # Series and curve fitting
 
 
-@dataclass
-class SeriesRow:
-    kind: str
-    n: int
-    include_degenerate: bool
-    distinct: int
-    ratio: float
-    elapsed_ms: float
-    workers: int
-
-
 def census_series(
     kind: LatticeKind,
     n_values: list[int],
     include_degenerate: bool = True,
     workers: int = 1,
-) -> list[SeriesRow]:
+) -> list[ShapeCensus]:
     """One census per n value, ascending; each n is computed independently."""
     if not n_values:
         raise PreconditionError("n_values must be nonempty")
     if sorted(n_values) != list(n_values):
         raise PreconditionError("n_values must be ascending")
-    rows = []
-    for n in n_values:
-        c = census(kind, n, include_degenerate, workers)
-        rows.append(
-            SeriesRow(c.kind, c.n, c.include_degenerate, c.distinct, c.ratio,
-                      c.elapsed_ms, c.workers)
-        )
-    return rows
+    return [census(kind, n, include_degenerate, workers) for n in n_values]
 
 
 @dataclass(frozen=True)
@@ -526,7 +508,7 @@ class RatioFit:
     residual: float
 
 
-def ratio_fit(rows: list[SeriesRow]) -> RatioFit:
+def ratio_fit(rows: list[ShapeCensus]) -> RatioFit:
     """Ordinary least squares of distinct ~ c*n^4 + d*n^3."""
     if len(rows) < 3:
         raise PreconditionError("ratio_fit needs at least 3 rows")

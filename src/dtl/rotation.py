@@ -51,9 +51,6 @@ class PythTriple:
         if gcd(self.p, self.q) != 1:
             raise PreconditionError(f"({self.p},{self.q},{self.r}) is not primitive")
 
-    def swapped(self) -> "PythTriple":
-        return PythTriple(self.q, self.p, self.r)
-
 
 def _triple_arrays(max_r: int):
     """Primitive triples with hypotenuse <= max_r, one leg order, in blocks
@@ -137,7 +134,8 @@ def is_rotatable_point(pt: Point) -> bool:
 
 
 def has_split_prime_factor(n: int) -> bool:
-    """Fast-path predicate: n has a prime factor congruent to 1 mod 4."""
+    """n has a prime factor congruent to 1 mod 4: the number-theoretic
+    reference that `is_rotatable_point(pt)` must match on the norm of pt."""
     for p in _prime_factors(n):
         if p % 4 == 1:
             return True
@@ -322,15 +320,13 @@ def minimal_congruency_set(a: Point, b: Point) -> set[Triangle]:
     return {frozenset((ORIGIN, u, v)) for u, v in tris}
 
 
-def _origin_classes(n: int) -> dict[tuple[int, int, int], set[Triangle]]:
-    """Every origin-vertex triangle of [n] x [n], grouped by shape key; a
-    brute-force scan over all pairs."""
+def _origin_pairs(n: int):
+    """Every origin-vertex triangle {O, a, b} of [n] x [n] once, as
+    (shape key, a, b); a brute-force scan over all pairs."""
     pts = [(u, v) for u in range(n) for v in range(n) if (u, v) != ORIGIN]
-    classes: dict[tuple[int, int, int], set[Triangle]] = {}
-    for i, c in enumerate(pts):
-        for d in pts[i + 1 :]:
-            classes.setdefault(_shape_key(c, d), set()).add(frozenset((ORIGIN, c, d)))
-    return classes
+    for i, a in enumerate(pts):
+        for b in pts[i + 1 :]:
+            yield _shape_key(a, b), a, b
 
 
 def congruency_class_at_origin(a: Point, b: Point, n: int) -> set[Triangle]:
@@ -341,7 +337,8 @@ def congruency_class_at_origin(a: Point, b: Point, n: int) -> set[Triangle]:
             raise PreconditionError(f"point {p} outside [{n}] x [{n}]")
     if a == ORIGIN or b == ORIGIN or a == b:
         raise PreconditionError("O, a, b must be pairwise distinct")
-    return _origin_classes(n)[_shape_key(a, b)]
+    key = _shape_key(a, b)
+    return {frozenset((ORIGIN, c, d)) for k, c, d in _origin_pairs(n) if k == key}
 
 
 @dataclass
@@ -361,24 +358,25 @@ def verify_minimality(n: int) -> MinimalityReport:
         raise PreconditionError(f"minimality scan needs n >= 4, got {n}")
     if n > MINIMALITY_LIMIT:
         raise CostGuardExceeded(f"minimality scan refused for n={n} > {MINIMALITY_LIMIT}")
-    pts = [(u, v) for u in range(n) for v in range(n) if (u, v) != ORIGIN]
-    by_shape = _origin_classes(n)
+    pairs = list(_origin_pairs(n))
+    by_shape: dict[tuple[int, int, int], set[Triangle]] = {}
+    for key, a, b in pairs:
+        by_shape.setdefault(key, set()).add(frozenset((ORIGIN, a, b)))
     rotatable = set(_rotatable_pairs(n).tolist())
     checked = 0
     skipped_axis = 0
     violations = []
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            reason = _minimal_set_undefined(a, b)
-            if reason is not None:
-                if reason == _AXIS_PARALLEL:
-                    skipped_axis += 1
-                continue
-            if (a[0] * n + a[1]) * n * n + b[0] * n + b[1] in rotatable:
-                continue  # rotatable: the lemma says nothing about these
-            if by_shape[_shape_key(a, b)] != minimal_congruency_set(a, b):
-                violations.append((a, b))
-            checked += 1
+    for key, a, b in pairs:
+        reason = _minimal_set_undefined(a, b)
+        if reason is not None:
+            if reason == _AXIS_PARALLEL:
+                skipped_axis += 1
+            continue
+        if (a[0] * n + a[1]) * n * n + b[0] * n + b[1] in rotatable:
+            continue  # rotatable: the lemma says nothing about these
+        if by_shape[key] != minimal_congruency_set(a, b):
+            violations.append((a, b))
+        checked += 1
     return MinimalityReport(n, checked, skipped_axis, violations)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dtl import lattice
+from dtl import cli, lattice
 from dtl.cli import run
 from dtl.errors import FormatError
 from dtl.geometry import QPoint
@@ -122,6 +122,17 @@ def test_cli_census_series_and_fit(capsys):
     assert out[-1].startswith("# fit c=")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "5", "--fit"], "census --fit requires --series"),
+    (["--n", "5", "--series", "2:4"], "census takes --n or --series, not both"),
+    (["--n", "5", "--series", "2:4", "--fit"], "census takes --n or --series, not both"),
+])
+def test_cli_census_flag_that_does_nothing_is_an_error(capsys, flags, message):
+    assert run(["census", "--lattice", "square", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
+
+
 def test_cli_census_fit_needs_three_rows(capsys):
     assert run(["census", "--lattice", "square", "--series", "2:3", "--fit"]) == 1
     captured = capsys.readouterr()
@@ -205,11 +216,79 @@ def test_cli_verify_origin_reduction_names_the_lattice(capsys, monkeypatch):
     ]
 
 
+def _spoil_minimality(real):
+    def spoiled(n):
+        rep = real(n)
+        rep.violations.append(((1, 2), (3, 1)))
+        return rep
+
+    return spoiled
+
+
+def _spoil_point_bounds(real):
+    def spoiled(max_r, max_n):
+        rep = real(max_r, max_n)
+        rep.cases[0].ok = False
+        return rep
+
+    return spoiled
+
+
+def _spoil_spot_check(real):
+    def spoiled(m, n, t):
+        return dataclasses.replace(real(m, n, t), ok=False)
+
+    return spoiled
+
+
+@pytest.mark.parametrize("name, spoil, flags", [
+    ("verify_minimality", _spoil_minimality, ["--lemma", "3.1", "--n", "5"]),
+    ("lemma32_bound_check", _spoil_point_bounds,
+     ["--lemma", "3.2", "--max-r", "13", "--n", "5"]),
+    ("lemma33_spot_check", _spoil_spot_check, ["--lemma", "3.3"]),
+])
+def test_cli_verify_violation_exits_one(tmp_path, capsys, monkeypatch, name, spoil, flags):
+    monkeypatch.setattr(cli, name, spoil(getattr(cli, name)))
+    out = tmp_path / "report.json"
+    assert run(["verify", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["pass"] is False
+
+
+JSON_COMMANDS = [
+    ["rotatable", "--n", "5", "--triple", "3,4,5"],
+    ["rotatable", "--n", "5", "--count-triangles"],
+    ["constant", "--cutoff", "1000"],
+    ["verify", "--lemma", "origin-reduction", "--n", "2"],
+    ["verify", "--lemma", "3.1", "--n", "4"],
+    ["verify", "--lemma", "3.2", "--max-r", "13", "--n", "5"],
+    ["verify", "--lemma", "3.3"],
+    ["search", "--ground", "ngon:6", "--k", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=lambda a: "_".join(a).replace("-", ""))
+def test_cli_report_ends_with_elapsed_ms(capsys, argv):
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload)[-1] == "elapsed_ms"
+    assert isinstance(payload["elapsed_ms"], float) and payload["elapsed_ms"] >= 0
+
+
 def test_cli_search(capsys):
     assert run(["search", "--ground", "ngon:10", "--k", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["max_size"] == 5
     assert payload["witnesses"][0]["verified"] is True
+
+
+def test_cli_search_manifest_keeps_tolerance_a_number(tmp_path, capsys):
+    out = tmp_path / "search.json"
+    argv = ["search", "--ground", "ngon:6", "--k", "2", "--tolerance", "1e-6"]
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    manifest = json.loads(out.with_name("search.json.manifest.json").read_text())
+    assert manifest["params"]["tolerance"] == 1e-6
 
 
 @pytest.mark.parametrize("cap", ["0", "-2"])

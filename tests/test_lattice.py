@@ -457,7 +457,6 @@ def test_ratio_fit_recovers_planted_coefficients():
     fake = [
         dataclasses.replace(
             rows[0], n=n, distinct=round(0.18 * n**4 - 0.5 * n**3),
-            ratio=round(0.18 * n**4 - 0.5 * n**3) / n**4,
         )
         for n in (20, 30, 40, 50)
     ]

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -307,6 +308,18 @@ def test_minimal_set_type2():
     got = minimal_congruency_set((4, 1), (1, 3))
     assert len(got) == 2
     assert congruency_class_at_origin((4, 1), (1, 3), 5) == got
+
+
+def test_congruency_class_holds_only_the_class():
+    # the scan keeps the matching triangles, not every origin triangle of [20]²
+    tracemalloc.start()
+    try:
+        got = congruency_class_at_origin((3, 2), (1, 1), 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == minimal_congruency_set((3, 2), (1, 1))
+    assert peak < 1 << 20
 
 
 def test_minimal_set_preconditions():
