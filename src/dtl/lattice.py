@@ -290,7 +290,10 @@ def _longest_side_chunk(task: tuple) -> int:
     """Distinct shapes whose longest side is one of the task's d: the adjacent
     differences of its keys, sorted in place behind a 0 below them all."""
     q, width, include_degenerate, rows, cells = task
-    keys, end = np.zeros(1 + cells, dtype=np.int64), 1
+    # np.empty, not np.zeros: calloc clears a buffer carved from freed heap
+    # memory, making all its cells resident, where about a third get a key
+    keys, end = np.empty(1 + cells, dtype=np.int64), 1
+    keys[0] = 0
     for side in rows.T.tolist():
         end += _side_keys(q, width, *side, include_degenerate, keys[end:]).size
     keys[:end].sort()
