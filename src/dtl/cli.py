@@ -196,6 +196,8 @@ def _cmd_census(args, sink: _Sink) -> None:
 
 def _cmd_rotatable(args, sink: _Sink) -> dict:
     if args.count_triangles:
+        if args.triple is not None:
+            raise DtlError("rotatable takes --triple or --count-triangles, not both")
         b = count_rotatable_triangles(args.n)
         return {
             "op": "count-rotatable-triangles",
@@ -225,7 +227,23 @@ def _cmd_constant(args, sink: _Sink) -> dict:
     }
 
 
+# The flags each lemma reads; `verify` rejects the others.
+_LEMMA_FLAGS = {
+    "origin-reduction": {"n"},
+    "3.1": {"n"},
+    "3.2": {"max_r", "n", "cases_csv"},
+    "3.3": {"m", "n", "triple"},
+}
+
+
 def _cmd_verify(args, sink: _Sink) -> dict:
+    unread = [
+        "--" + flag.replace("_", "-")
+        for flag in ("n", "max_r", "m", "triple", "cases_csv")
+        if getattr(args, flag) is not None and flag not in _LEMMA_FLAGS[args.lemma]
+    ]
+    if unread:
+        raise DtlError(f"verify --lemma {args.lemma} does not read {', '.join(unread)}")
     if args.lemma == "origin-reduction":
         n_max = 6 if args.n is None else args.n
         if n_max < 2:
@@ -298,6 +316,8 @@ def _cmd_verify(args, sink: _Sink) -> dict:
 
 def _cmd_ngon(args, sink: _Sink) -> None:
     if args.series:
+        if args.n is not None:
+            raise DtlError("ngon takes --n or --series, not both")
         sink.line("n,count,ratio")
         for n, count, ratio in ngon_asymptotic_check(_parse_series(args.series)):
             sink.line(f"{n},{count},{_fmt(ratio)}")

@@ -1,15 +1,17 @@
 """Distinct-triangle censuses on the square grid, triangular lattice, and
 general positive-definite rational lattices.
 
-Shape keys are triples of integer squared side lengths, sorted ascending and
-packed into one int64 of three equal-width bit fields. A census keys each
-triangle at a longest side PQ, up to the signed coordinate permutations that
-keep the form and up to swapping P and Q, and skips third vertices collinear
-with PQ when degenerate triangles are excluded (`_longest_sides`,
-`_side_keys`). Keys with different longest sides never collide, so each task
-of whole longest-side groups sorts its keys in place in one buffer and
-returns one count; the counts add up with no merge. `general_lattice_census`
-keeps the translation-only enumeration of vertex pairs, an independent check.
+A census keys each triangle at a longest side PQ, up to the signed coordinate
+permutations that keep the form and up to swapping P and Q, and skips third
+vertices collinear with PQ when degenerate triangles are excluded
+(`_longest_sides`). For d = Q - P and one row u of third vertices c = R - P,
+the kept c form at most two runs of consecutive v (`_runs`), along which the
+key q(c) * 2**w + q(c - d) is a quadratic in v (`_side_keys`); the longest
+side h = q(d) stays out of the key, as keys with different h never collide.
+Each task of whole h groups sorts each group's keys in place and returns one
+count; the counts add up with no merge. `general_lattice_census` keeps the
+translation-only enumeration of vertex pairs, an independent check, with the
+three sorted squared sides packed into one int64 of equal-width bit fields.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .errors import CostGuardExceeded, PreconditionError
 
 DEFAULT_ORACLE_LIMIT = 8
 # Cells of the c boxes (a bound on the shape keys) per census task; fixed, so
-# the task list does not depend on workers, and small, so a task sorts 8 MB.
+# the task list does not depend on workers, and small, so a task's key buffer
+# is at most 8 MB.
 _TASK_KEYS = 1_000_000
 # The fewest pending keys `_union` merges at once: the cross-check's own
 # floor, independent of the kernel's task size.
@@ -37,9 +40,13 @@ _UNION_KEYS = 10_000_000
 # Bytes a longest-side census may hold at once over all its processes;
 # checked before any task runs (`_check_memory`).
 _MEMORY_BUDGET = 2 << 30
-# Bytes per cell of the int32 and bool temporaries of one c box in
-# `_side_keys`; tracemalloc measures at most 19.
-_BOX_BYTES = 24
+# `_side_keys` evaluates keys in batches of whole runs, starting a batch at
+# the first run that starts past a multiple of _BATCH_KEYS keys; a run is
+# shorter than 2n, so a batch holds fewer than 2 * _BATCH_KEYS keys.
+_BATCH_KEYS = 1 << 16
+# Bytes per u row of the temporaries of `_runs` and `_side_keys`; tracemalloc
+# measures at most 180 beyond the two batch temporaries.
+_ROW_BYTES = 200
 
 
 @dataclass(frozen=True)
@@ -218,8 +225,8 @@ def _longest_sides(n: int, q: tuple[int, int, int]):
     order = np.argsort(h, kind="stable")
     du, dv, h = du[order], dv[order], h[order]
     # |u| <= sqrt(4 qc h / disc) and |v| <= sqrt(4 qa h / disc) on q(x) <= h,
-    # so r >= |d| per coordinate; the + 1 absorbs rounding, the exact test is
-    # in _side_keys
+    # so r >= |d| per coordinate; the + 1 absorbs rounding, the exact ends
+    # are in _runs
     disc = 4 * qa * qc - qb * qb
     ru = np.minimum(np.sqrt(4 * qc * h / disc).astype(np.int64) + 1, n - 1)
     rv = np.minimum(np.sqrt(4 * qa * h / disc).astype(np.int64) + 1, n - 1)
@@ -243,16 +250,22 @@ def _longest_side_tasks(n: int, q: tuple, width: int, include_degenerate: bool) 
     return tasks
 
 
+def _key_dtype(width: int):
+    """The longest-side kernel's key type, for two fields of `width` bits."""
+    return np.uint32 if 2 * width <= 32 else np.int64
+
+
 def _check_memory(tasks: list[tuple], workers: int) -> None:
     """Raise CostGuardExceeded when the processes that run the tasks, each
-    holding the largest task's key buffer and the temporaries of the largest
-    c box, could exceed _MEMORY_BUDGET."""
-    task_bytes = 8 * max(cells for *_, cells in tasks)
-    box_bytes = _BOX_BYTES * max(
-        int(((r[4] - r[3] + 1) * (r[6] - r[5] + 1)).max()) for *_, r, _ in tasks
+    holding a task's key buffer, the temporaries of its u rows and two batch
+    temporaries of keys, could exceed _MEMORY_BUDGET."""
+    task_bytes = max(
+        np.dtype(_key_dtype(width)).itemsize * (cells + 4 * _BATCH_KEYS)
+        + _ROW_BYTES * int((rows[4] - rows[3] + 1).sum())
+        for _, width, _, rows, cells in tasks
     )
     pool = max(1, min(workers, len(tasks)))
-    peak = pool * (task_bytes + box_bytes)
+    peak = pool * task_bytes
     if peak > _MEMORY_BUDGET:
         raise CostGuardExceeded(
             f"census needs about {peak >> 20} MB in a pool of {pool}, "
@@ -260,44 +273,118 @@ def _check_memory(tasks: list[tuple], workers: int) -> None:
         )
 
 
-def _side_keys(q, width, du, dv, h, u0, u1, v0, v1, include_degenerate, out) -> np.ndarray:
-    """Packs into `out`, and returns, the keys (q(c), q(c - d), h) of the c != 0 in
-    [u0, u1] x [v0, v1] with q(c) <= q(c - d) <= h, off the line through 0 and
-    d unless `include_degenerate`: the triangles {0, d, c} with longest side d,
-    one of each pair c, d - c that swapping P and Q exchanges. With L(c) =
-    q(c) + h - q(c - d), linear in c, the test is q(c) <= L(c) <= h, in int32
-    over rows and columns: all values are below 2**24 (width <= 21).
+def _runs(q, rows, include_degenerate):
+    """The kept c of the rows' d as runs of consecutive v at one u: arrays
+    (d, u, v, size) of each nonempty run's column in `rows`, its u, its first
+    v and its length, in row-major order of c, one d after another.
+
+    For fixed u the c with q(c - d) <= h form an interval of v, whose ends are
+    the float roots of a quadratic made exact by integer checks at lo - 1, lo,
+    hi and hi + 1. L(c) <= h, linear in c, cuts the interval, and the d's c
+    box clips it. c = 0, and the c on the line through 0 and d unless
+    `include_degenerate`, split a row into at most two runs; a d with du = 0
+    loses its whole u = 0 row.
     """
     qa, qb, qc = q
-    cu = np.arange(u0, u1 + 1, dtype=np.int32)
-    cv = np.arange(v0, v1 + 1, dtype=np.int32)
-    lu, lv = 2 * qa * du + qb * dv, qb * du + 2 * qc * dv
-    k = (qa * cu * cu - lu * cu)[:, None] + (qc * cv * cv - lv * cv)
-    if qb:
-        k += (qb * cu)[:, None] * cv
-    l = (lu * cu)[:, None] + lv * cv
-    keep = k <= 0
-    keep &= l <= h
-    if not include_degenerate:
-        keep &= (dv * cu)[:, None] != du * cv
-    keep[-u0, -v0] = False  # c = 0
-    k, l = k[keep].astype(np.int64), l[keep].astype(np.int64)
-    # q(c) = k + l and q(c - d) = k + h, each below 2**width
-    return np.bitwise_or(((k + l) << (2 * width)) | ((k + h) << width), h, out=out[: k.size])
+    nu = rows[4] - rows[3] + 1
+    d = np.repeat(np.arange(nu.size), nu)
+    du, dv, h, u, _, v0, v1 = np.repeat(rows, nu, axis=1)
+    u += np.arange(d.size) - np.repeat(np.cumsum(nu) - nu, nu)
+    # q(c - d) <= h is qc*y^2 + qb*x*y <= h - qa*x^2 for (x, y) = c - d
+    x = u - du
+    rhs = h - qa * x * x
+    root = np.sqrt(np.maximum(4 * qc * rhs + qb * qb * x * x, 0))
+    lo = np.ceil(dv + (-qb * x - root) / (2 * qc)).astype(np.int64)
+    hi = np.floor(dv + (-qb * x + root) / (2 * qc)).astype(np.int64)
+
+    def inside(v):
+        return (qc * (v - dv) + qb * x) * (v - dv) <= rhs
+
+    # the float ends are within 1 of the exact ones
+    lo -= inside(lo - 1)
+    lo += ~inside(lo)
+    hi += inside(hi + 1)
+    hi -= ~inside(hi)
+    lo, hi = np.maximum(lo, v0), np.minimum(hi, v1)
+    # L(c) = lu u + lv v <= h is lv v <= rest
+    lv, rest = qb * du + 2 * qc * dv, h - (2 * qa * du + qb * dv) * u
+    bound = rest // np.maximum(np.abs(lv), 1)
+    hi = np.where(lv > 0, np.minimum(hi, bound), hi)
+    lo = np.where(lv < 0, np.maximum(lo, -bound), lo)
+    drop = (lv == 0) & (rest < 0)
+    if include_degenerate:
+        on, cut = u == 0, 0
+    else:  # du >= 0 by the orbit rule
+        on = (du > 0) & (dv * u % np.maximum(du, 1) == 0)
+        cut = dv * u // np.maximum(du, 1)
+        drop |= (du == 0) & (u == 0)
+    hi = np.where(drop, lo - 1, hi)
+    cut = np.where(on, cut, hi + 1)
+    # each row's runs before and after the cut
+    first, size = np.empty((d.size, 2), dtype=np.int64), np.empty((d.size, 2), dtype=np.int64)
+    first[:, 0] = lo
+    np.maximum(lo, cut + 1, out=first[:, 1])
+    np.minimum(hi, cut - 1, out=size[:, 0])
+    size[:, 1] = hi
+    size -= first - 1
+    keep = np.flatnonzero(size > 0)
+    return d[keep >> 1], u[keep >> 1], first.ravel()[keep], size.ravel()[keep]
+
+
+def _side_keys(q, width, rows, include_degenerate, out) -> np.ndarray:
+    """Writes to the front of `out` the keys q(c) * 2**width + q(c - d) of the
+    kept c of the rows' d, in `_runs` order, and returns each d's key count.
+    Kept are the c != 0 with q(c) <= q(c - d) <= h, off the line through 0 and
+    d unless `include_degenerate`: the triangles {0, d, c} with longest side
+    d, one of each pair c, d - c that swapping P and Q exchanges.
+
+    With L(c) = q(c) + h - q(c - d), linear in c, a key is (2**width + 1) q(c)
+    - L(c) + h: along a run from v, the quadratic (a*t + s)*t + k in the step
+    t = 0, 1, .... It is evaluated in the dtype of `out` in batches of whole
+    runs, about _BATCH_KEYS keys each; uint32 products may wrap, but every key
+    fits, so the wrapped result is exact.
+    """
+    qa, qb, qc = q
+    d, u, v, size = _runs(q, rows, include_degenerate)
+    du, dv, h = rows[0, d], rows[1, d], rows[2, d]
+    lu, lv = 2 * qa * du + qb * dv, qb * du + 2 * qc * dv  # L(c) = lu u + lv v
+    m = (1 << width) + 1
+    a, b = m * qc, m * qb * u - lv
+    k = ((a * v + b) * v + (m * qa * u - lu) * u + h).astype(out.dtype)
+    s = (2 * a * v + b).astype(out.dtype)
+    start = np.cumsum(size) - size
+    batches = [*np.flatnonzero(np.diff(start // _BATCH_KEYS, prepend=-1)).tolist(), size.size]
+    for r0, r1 in zip(batches, batches[1:]):
+        lo, hi, n = int(start[r0]), int(start[r1 - 1] + size[r1 - 1]), size[r0:r1]
+        t = np.arange(hi - lo, dtype=out.dtype)
+        t -= np.repeat((start[r0:r1] - lo).astype(out.dtype), n)
+        keys = out[lo:hi]
+        np.multiply(t, a, out=keys)
+        keys += np.repeat(s[r0:r1], n)
+        keys *= t
+        keys += np.repeat(k[r0:r1], n)
+    return np.bincount(d, weights=size, minlength=rows.shape[1]).astype(np.int64)
 
 
 def _longest_side_chunk(task: tuple) -> int:
-    """Distinct shapes whose longest side is one of the task's d: the adjacent
-    differences of its keys, sorted in place behind a 0 below them all."""
+    """Distinct shapes whose longest side is one of the task's d. Keys of one
+    h are contiguous and never equal keys of another h, so each h group is
+    sorted in place on its own and counts 1 plus its adjacent differences."""
     q, width, include_degenerate, rows, cells = task
     # np.empty, not np.zeros: calloc clears a buffer carved from freed heap
     # memory, making all its cells resident, where about a third get a key
-    keys, end = np.empty(1 + cells, dtype=np.int64), 1
-    keys[0] = 0
-    for side in rows.T.tolist():
-        end += _side_keys(q, width, *side, include_degenerate, keys[end:]).size
-    keys[:end].sort()
-    return int(np.count_nonzero(keys[1:end] != keys[: end - 1]))
+    keys = np.empty(cells, dtype=_key_dtype(width))
+    ends = np.cumsum(_side_keys(q, width, rows, include_degenerate, keys))
+    h = rows[2]
+    ends = ends[np.append(h[1:] != h[:-1], True)].tolist()
+    for lo, hi in zip([0, *ends], ends):
+        keys[lo:hi].sort()
+    total = ends[-1]
+    if total == 0:
+        return 0
+    differ = keys[1:total] != keys[: total - 1]
+    differ[[e - 1 for e in ends[:-1] if 0 < e < total]] = True
+    return 1 + int(np.count_nonzero(differ))
 
 
 def _delta_chunk(task: tuple) -> np.ndarray:

@@ -133,6 +133,30 @@ def test_cli_census_flag_that_does_nothing_is_an_error(capsys, flags, message):
     assert captured.out == "" and f"error: {message}" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--lemma", "3.1", "--n", "4", "--cases-csv", "F"],
+     "verify --lemma 3.1 does not read --cases-csv"),
+    (["verify", "--lemma", "3.1", "--n", "4", "--cases-csv", "F", "--max-r", "7", "--m", "9"],
+     "verify --lemma 3.1 does not read --max-r, --m, --cases-csv"),
+    (["verify", "--lemma", "origin-reduction", "--n", "3", "--triple", "3,4,5"],
+     "verify --lemma origin-reduction does not read --triple"),
+    (["verify", "--lemma", "3.2", "--max-r", "13", "--n", "5", "--m", "5"],
+     "verify --lemma 3.2 does not read --m"),
+    (["verify", "--lemma", "3.3", "--max-r", "7"], "verify --lemma 3.3 does not read --max-r"),
+    (["verify", "--lemma", "3.3", "--cases-csv", "F"],
+     "verify --lemma 3.3 does not read --cases-csv"),
+    (["ngon", "--n", "5", "--series", "3:4"], "ngon takes --n or --series, not both"),
+    (["rotatable", "--n", "5", "--count-triangles", "--triple", "3,4,5"],
+     "rotatable takes --triple or --count-triangles, not both"),
+])
+def test_cli_flag_that_is_not_read_is_an_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
+    assert list(tmp_path.iterdir()) == []  # no --cases-csv file either
+
+
 def test_cli_census_fit_needs_three_rows(capsys):
     assert run(["census", "--lattice", "square", "--series", "2:3", "--fit"]) == 1
     captured = capsys.readouterr()

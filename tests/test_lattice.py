@@ -208,10 +208,55 @@ def _symmetries(q, n):
 
 
 def _kernel_keys(q, width, side, include_degenerate=True):
-    """The kernel's packed keys for one `_longest_sides` row, in cell order."""
+    """The kernel's keys for one `_longest_sides` row, in cell order, each
+    re-packed with the row's h as a third field: (q(c), q(c - d), h)."""
     cells = (side[4] - side[3] + 1) * (side[6] - side[5] + 1)
-    out = np.empty(cells, dtype=np.int64)
-    return lattice._side_keys(q, width, *side, include_degenerate, out).tolist()
+    out = np.empty(cells, dtype=lattice._key_dtype(width))
+    rows = np.array(side, dtype=np.int64)[:, None]
+    size = int(lattice._side_keys(q, width, rows, include_degenerate, out)[0])
+    return [(k << width) | side[2] for k in out[:size].tolist()]
+
+
+def _box_shapes(q, side, include_degenerate):
+    """(q(c), q(c - d)) of the kept c of one `_longest_sides` row, evaluated
+    over its whole c box with plain numpy, in row-major order."""
+    du, dv, h, u0, u1, v0, v1 = side
+    cu, cv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1), indexing="ij")
+    qc, qcd = _q(q, cu, cv), _q(q, cu - du, cv - dv)
+    keep = (0 < qc) & (qc <= qcd) & (qcd <= h)
+    if not include_degenerate:
+        keep &= dv * cu != du * cv
+    return qc[keep], qcd[keep]
+
+
+@pytest.mark.parametrize("q", [(1, 0, 1), (1, 1, 1), (2, 1, 3), (1, -1, 3)])
+@pytest.mark.parametrize("deg", [True, False])
+def test_runs_have_exact_ends_at_the_widest_fields(q, deg):
+    # The largest h at n = 300 give the longest runs and the largest roots.
+    n = 300
+    width = lattice._field_width(n, *q)
+    rows = lattice._longest_sides(n, q)[:, -50:]
+    cells = int(((rows[4] - rows[3] + 1) * (rows[6] - rows[5] + 1)).sum())
+    out = np.empty(cells, dtype=lattice._key_dtype(width))
+    sizes = lattice._side_keys(q, width, rows, deg, out)
+    keys = np.split(out[: sizes.sum()], np.cumsum(sizes)[:-1])
+    for side, got in zip(rows.T.tolist(), keys):
+        qc, qcd = _box_shapes(q, side, deg)
+        assert got.tolist() == ((qc << width) | qcd).tolist()
+
+
+def test_wide_fields_take_int64_keys():
+    # 2w = 34 bits; in uint32 the keys of the task that holds h = 53,248
+    # would wrap and count 54 shapes too few.
+    n, q = 200, (1, 0, 1)
+    width = lattice._field_width(n, *q)
+    assert 2 * width == 34 and lattice._key_dtype(width) is np.int64
+    (task,) = [t for t in _tasks(n, q) if 53_248 in t[3][2]]
+    shapes = set()
+    for side in task[3].T.tolist():
+        qc, qcd = _box_shapes(q, side, True)
+        shapes.update(zip([side[2]] * qc.size, qc.tolist(), qcd.tolist()))
+    assert lattice._longest_side_chunk(task) == len(shapes)
 
 
 @pytest.mark.parametrize("q", list(G_ORDERS))
@@ -380,7 +425,11 @@ def test_memory_guard_refuses_before_any_task_runs(monkeypatch):
     boxes = [[(u1 - u0 + 1) * (v1 - v0 + 1) for *_, u0, u1, v0, v1 in t[3].T.tolist()]
              for t in tasks]
     assert [t[4] for t in tasks] == [sum(b) for b in boxes]  # a task's buffer cells
-    one = 8 * max(map(sum, boxes)) + lattice._BOX_BYTES * max(map(max, boxes))
+    urows = [sum(u1 - u0 + 1 for *_, u0, u1, _, _ in t[3].T.tolist()) for t in tasks]
+    # uint32 keys: the buffer, two batches, and the temporaries of the u rows
+    assert lattice._key_dtype(tasks[0][1]) is np.uint32
+    one = max(4 * (sum(b) + 4 * lattice._BATCH_KEYS) + lattice._ROW_BYTES * r
+              for b, r in zip(boxes, urows))
     # one process fits the budget, two do not
     monkeypatch.setattr(lattice, "_MEMORY_BUDGET", one)
     with pytest.raises(CostGuardExceeded, match="pool of 2"):

@@ -373,12 +373,18 @@ def test_verify_minimality_smallest_n():
 # --- asymptotic spot check --------------------------------------------------
 
 def test_smallest_triple_selection():
-    t = smallest_triple_with_r_at_least(3906250)
-    assert t.r >= 3906250
-    # no primitive triple with smaller hypotenuse clears the threshold
-    assert t.r == min(
-        u.r for u in enum_primitive_triples(t.r) if u.r >= 3906250
-    )
+    r_min = 3906250
+    t = smallest_triple_with_r_at_least(r_min)
+    assert t.r >= r_min
+    # no primitive triple with smaller hypotenuse clears the threshold: Euclid's
+    # r = m^2 + n^2, m > n > 0 coprime of opposite parity, has none in [r_min, t.r)
+    below = [
+        (m, n)
+        for m in range(math.isqrt(r_min // 2), math.isqrt(t.r) + 1)
+        for n in range(math.isqrt(max(r_min - m * m, 0)), math.isqrt(max(t.r - m * m, 0)) + 1)
+        if 0 < n < m and r_min <= m * m + n * n < t.r and (m - n) % 2 and math.gcd(m, n) == 1
+    ]
+    assert below == []
 
 
 def test_smallest_triple_matches_plain_reference():
