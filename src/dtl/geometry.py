@@ -12,11 +12,14 @@ squared-distance matrix, or float coordinates compared under a tolerance.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError
+from .errors import DiscriminantMismatch, PreconditionError
 from .qscalar import QScalar, RatLike, _coerce, _joint_disc
 
 
@@ -232,19 +235,44 @@ def _from_ranks(label: str, mode: str, n: int, ranks: list[int], values: list) -
     return GroundSet(label, mode, n, tuple(values), tuple(map(tuple, rows)))
 
 
-def _interned_exact(label: str, mode: str, n: int, dist: list[QScalar]) -> GroundSet:
-    values = sorted(set(dist))
-    rank = {v: r for r, v in enumerate(values)}
-    return _from_ranks(label, mode, n, [rank[d] for d in dist], values)
-
-
 def ground_set_from_points(points: Sequence[QPoint], label: str = "points") -> GroundSet:
-    pairs = list(combinations(range(len(points)), 2))
-    dist = [sq_dist(points[i], points[j]) for i, j in pairs]
-    for (i, j), d in zip(pairs, dist):
-        if d.is_zero():
-            raise PreconditionError(f"duplicate points at indices {i}, {j}")
-    return _interned_exact(label, "coordinates", len(points), dist)
+    """Interns the exact squared distances of all point pairs.
+
+    The coordinates must share one field Q(sqrt(D)). Scaled by the common
+    denominator L of their parts, each coordinate is an integer pair (s, t)
+    meaning (s + t*sqrt(D))/L, so the squared distance of a pair is an
+    integer pair (A, B) meaning (A + B*sqrt(D))/L^2. Pairs are interned on
+    those tuples, the distinct tuples are ordered by exact integer sign
+    tests, and a QScalar is built only for each distinct value.
+    Raises DiscriminantMismatch for points from two fields and
+    PreconditionError naming the first pair, in pair order, of equal points."""
+    discs = sorted({c.disc for p in points for c in (p.x, p.y)} - {1})
+    if len(discs) > 1:
+        raise DiscriminantMismatch(f"cannot combine sqrt({discs[0]}) with sqrt({discs[1]})")
+    disc = discs[0] if discs else 1
+    parts = [(p.x.rat, p.x.rad, p.y.rat, p.y.rad) for p in points]
+    den = math.lcm(*(f.denominator for fs in parts for f in fs))
+    scaled = [[f.numerator * (den // f.denominator) for f in fs] for fs in parts]
+    dist = []
+    for i, (xs, xt, ys, yt) in enumerate(scaled):
+        for us, ut, vs, vt in scaled[i + 1 :]:
+            a, b, c, d = xs - us, xt - ut, ys - vs, yt - vt
+            dist.append((a * a + c * c + (b * b + d * d) * disc, 2 * (a * b + c * d)))
+    n = len(points)
+    if (0, 0) in dist:
+        i, j = list(combinations(range(n), 2))[dist.index((0, 0))]
+        raise PreconditionError(f"duplicate points at indices {i}, {j}")
+
+    def cmp(v, w):
+        # the sign of s + t*sqrt(D): the term of larger magnitude decides it
+        s, t = v[0] - w[0], v[1] - w[1]
+        return (s > 0) - (s < 0) if s * s > t * t * disc else (t > 0) - (t < 0)
+
+    order = sorted(set(dist), key=cmp_to_key(cmp))
+    rank = {v: r for r, v in enumerate(order)}
+    sq = den * den
+    values = [QScalar(Fraction(a, sq), Fraction(b, sq), disc) for a, b in order]
+    return _from_ranks(label, "coordinates", n, [rank[v] for v in dist], values)
 
 
 def ground_set_from_matrix(
@@ -256,7 +284,9 @@ def ground_set_from_matrix(
         )
     if any(e.sign() <= 0 for e in entries):
         raise PreconditionError("squared distances must be positive")
-    return _interned_exact(label, "distance-matrix", n, list(entries))
+    values = sorted(set(entries))
+    rank = {v: r for r, v in enumerate(values)}
+    return _from_ranks(label, "distance-matrix", n, [rank[e] for e in entries], values)
 
 
 def ground_set_from_floats(

@@ -8,10 +8,14 @@ which collapses to the single congruence a = c*b (mod r) with c = p * q^-1.
 
 Every triple comes from one numpy generator over coprime m > n >= 1 of
 opposite parity (`_triple_arrays`), which checks what `PythTriple` checks on
-whole arrays, and every rotatable pair from one table (`_rotatable_pairs`):
-each triple's rotatable points encoded as integers, paired and deduplicated
-by one sort. `count_rotatable_triangles` classifies the table with array
-operations; `bounding_box_class` stays the per-pair reference.
+whole arrays. Every rotatable pair comes from one table
+(`_rotatable_pairs`), built for all triples at once: each triple's
+rotatable points are encoded as integers and paired, and the pairs are
+deduplicated by one sort. `count_rotatable_triangles` classifies the table
+with array operations. `verify_minimality` runs the Lemma 3.1 scan as one
+array pass over all origin pairs. `bounding_box_class`,
+`minimal_congruency_set`, `_origin_pairs` and `rotatable_points` stay the
+per-pair and per-triple references.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import CostGuardExceeded, PreconditionError
-from .lattice import BoundingBoxClass, _sorted_unique, bounding_box_class
+from .lattice import BoundingBoxClass, _pack_sorted, _sorted_unique, bounding_box_class
 
 Point = tuple[int, int]
 Triangle = frozenset  # of Point, always containing the origin
@@ -65,9 +69,10 @@ def _triple_arrays(max_r: int):
     while lo < m_end:
         hi = min(m_end, max(lo + 1, isqrt(lo * lo + _TRIPLE_CELLS)))
         m, n = np.ogrid[lo:hi, 1:hi]
-        keep = (n < m) & ((m - n) % 2 == 1) & (m * m + n * n <= max_r) & (np.gcd(m, n) == 1)
-        m, n = np.nonzero(keep)
+        m, n = np.nonzero((n < m) & ((m - n) % 2 == 1) & (m * m + n * n <= max_r))
         m, n = m + lo, n + 1
+        coprime = np.gcd(m, n) == 1
+        m, n = m[coprime], n[coprime]
         p, q, r = m * m - n * n, 2 * m * n, m * m + n * n
         assert (p > 0).all() and (q > 0).all()
         assert (p * p + q * q == r * r).all() and (np.gcd(p, q) == 1).all()
@@ -179,14 +184,32 @@ def count_rotatable_points(n: int, t: PythTriple) -> int:
 def _rotatable_pairs(n: int) -> np.ndarray:
     """Sorted distinct codes of the non-origin point pairs of [n] x [n] that
     one angle rotates together. A point (u, v) is the code u*n + v and a pair
-    a < b is code(a)*n^2 + code(b)."""
-    pairs = [np.empty(0, dtype=np.int64)]
-    for t in _triples_upto(2 * (n - 1) * (n - 1)):
-        u, v = np.array(rotatable_points(n, t), dtype=np.int64).T
-        codes = np.sort(u * n + v)[1:]  # the origin is code 0
-        i, j = np.triu_indices(codes.size, 1)
-        pairs.append(codes[i] * (n * n) + codes[j])
-    return _sorted_unique(pairs)
+    a < b is code(a)*n^2 + code(b).
+
+    All triples at once: a triple's rotatable points are u = c*v mod r for
+    each v < n, with c = p * q^-1 mod r, and u + r, u + 2r, ... when r < n.
+    Its codes are sorted, and each is paired with the codes after it in its
+    triple by one group-wise repeat."""
+    max_r = 2 * (n - 1) * (n - 1)
+    if max_r < 5:
+        return np.empty(0, dtype=np.int64)
+    p, q, r = (np.concatenate(a) for a in zip(*_triple_arrays(max_r)))
+    p, q, r = np.concatenate((p, q)), np.concatenate((q, p)), np.concatenate((r, r))
+    c = np.array([x * pow(y, -1, z) % z for x, y, z in zip(p.tolist(), q.tolist(), r.tolist())])
+    u = c[:, None] * np.arange(n) % r[:, None]
+    t, v = np.nonzero(u < n)
+    u = u[t, v]
+    reps = (n - 1 - u) // r[t] + 1  # 1 unless r < n
+    t, u, v = np.repeat(t, reps), np.repeat(u, reps), np.repeat(v, reps)
+    u += (np.arange(u.size) - np.repeat(np.cumsum(reps) - reps, reps)) * r[t]
+    n2 = n * n
+    key = np.sort(t * n2 + u * n + v)
+    t, codes = np.divmod(key[key % n2 != 0], n2)  # the origin is code 0
+    at = np.arange(codes.size)
+    after = np.searchsorted(t, t, side="right") - 1 - at  # later codes of the triple
+    first = np.repeat(codes * n2, after)
+    first += codes[np.arange(first.size) - np.repeat(np.cumsum(after) - after - at - 1, after)]
+    return _sorted_unique([first])
 
 
 def is_rotatable_triangle(a: Point, b: Point) -> bool:
@@ -349,35 +372,62 @@ class MinimalityReport:
     violations: list[tuple[Point, Point]]
 
 
+def _shape_keys(xu, xv, yu, yv, width: int) -> np.ndarray:
+    """Packed sorted squared sides of the triangles {O, x, y}."""
+    return _pack_sorted(xu * xu + xv * xv, yu * yu + yv * yv,
+                        (xu - yu) ** 2 + (xv - yv) ** 2, width)
+
+
 def verify_minimality(n: int) -> MinimalityReport:
     """For every scalene, non-right, non-degenerate, non-axis-parallel and
     NON-rotatable origin-vertex triangle in [n] x [n], assert that its full
     congruency class equals its minimal congruency set. Refuses n < 4, which
-    holds no such triangle, and n above MINIMALITY_LIMIT."""
+    holds no such triangle, and n above MINIMALITY_LIMIT.
+
+    One array pass over the pairs of `_origin_pairs`, in its order. The
+    reasons of `_minimal_set_undefined` apply in its order, and pairs in the
+    `_rotatable_pairs` table are dropped. The members of
+    `minimal_congruency_set` become pair codes. The minimal set is a subset
+    of the class iff every member has the pair's shape key, and then equals
+    it iff it has as many distinct members as the key has pairs."""
     if n < 4:
         raise PreconditionError(f"minimality scan needs n >= 4, got {n}")
     if n > MINIMALITY_LIMIT:
         raise CostGuardExceeded(f"minimality scan refused for n={n} > {MINIMALITY_LIMIT}")
-    pairs = list(_origin_pairs(n))
-    by_shape: dict[tuple[int, int, int], set[Triangle]] = {}
-    for key, a, b in pairs:
-        by_shape.setdefault(key, set()).add(frozenset((ORIGIN, a, b)))
-    rotatable = set(_rotatable_pairs(n).tolist())
-    checked = 0
-    skipped_axis = 0
-    violations = []
-    for key, a, b in pairs:
-        reason = _minimal_set_undefined(a, b)
-        if reason is not None:
-            if reason == _AXIS_PARALLEL:
-                skipped_axis += 1
-            continue
-        if (a[0] * n + a[1]) * n * n + b[0] * n + b[1] in rotatable:
-            continue  # rotatable: the lemma says nothing about these
-        if by_shape[key] != minimal_congruency_set(a, b):
-            violations.append((a, b))
-        checked += 1
-    return MinimalityReport(n, checked, skipped_axis, violations)
+    n2 = n * n
+    i, j = np.triu_indices(n2 - 1, 1)
+    i, j = i + 1, j + 1  # point codes u*n + v after the origin's 0
+    (au, av), (bu, bv) = np.divmod(i, n), np.divmod(j, n)
+    width = (2 * (n - 1) ** 2).bit_length()
+    key = _shape_keys(au, av, bu, bv, width)
+    _, cls, class_size = np.unique(key, return_inverse=True, return_counts=True)
+    mask = (1 << width) - 1
+    s1, s2, s3 = key >> 2 * width, key >> width & mask, key & mask
+    undefined = (s1 == s2) | (s2 == s3) | (s1 + s2 == s3)
+    undefined |= 2 * (s1 * s2 + s2 * s3 + s3 * s1) == s1 * s1 + s2 * s2 + s3 * s3
+    axis = (au == 0) | (av == 0) | (bu == 0) | (bv == 0) | (au == bu) | (av == bv)
+    live = ~undefined & ~axis
+    live[live] = ~np.isin(i[live] * n2 + j[live], _rotatable_pairs(n))
+    au, av, bu, bv, key = (x[live] for x in (au, av, bu, bv, key))
+    size = class_size[cls[live]]
+    # Here au < bu, and {O, a, b} is three-on-box iff av > bv. Otherwise a
+    # is inside the box and the members are b with a and with b - a; three
+    # on box, the last two members repeat the first two.
+    two = av < bv
+    xu, xv = np.where(two, bu - au, au), np.where(two, bv - av, av)
+    members = [(au, av, bu, bv), (av, au, bv, bu), (bu, bv, xu, xv), (bv, bu, xv, xu)]
+    ok = np.ones(key.size, dtype=bool)
+    codes = []
+    for pu, pv, qu, qv in members:
+        ok &= _shape_keys(pu, pv, qu, qv, width) == key
+        cp, cq = pu * n + pv, qu * n + qv
+        codes.append(np.minimum(cp, cq) * n2 + np.maximum(cp, cq))
+    codes = np.sort(np.stack(codes, axis=1), axis=1)
+    ok &= 1 + np.count_nonzero(codes[:, 1:] != codes[:, :-1], axis=1) == size
+    bad = ~ok
+    violations = list(zip(zip(au[bad].tolist(), av[bad].tolist()),
+                          zip(bu[bad].tolist(), bv[bad].tolist())))
+    return MinimalityReport(n, int(key.size), int(np.count_nonzero(~undefined & axis)), violations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Triangle shapes, congruence predicates, and distinct-triangle counting."""
 
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dtl.errors import PreconditionError
+from dtl.errors import DiscriminantMismatch, PreconditionError
 from dtl.geometry import (
     CongruenceFlag,
     QPoint,
@@ -17,6 +18,7 @@ from dtl.geometry import (
     congruent_apex_positions,
     diameter,
     distinct_triangle_count,
+    ground_set_from_points,
     is_degenerate,
     is_isosceles,
     is_right,
@@ -193,3 +195,56 @@ def test_distinct_triangle_count_matches_naive_scan(pts, include_degenerate):
 def test_distinct_triangle_count_rejects_duplicates():
     with pytest.raises(PreconditionError):
         distinct_triangle_count([O, QPoint(1, 0), QPoint(1, 0)])
+
+
+# --- ground sets from exact points -------------------------------------------
+
+def _reference_ground_set(pts):
+    """Values and rank rows from one sq_dist per pair, ordered by QScalar."""
+    dist = {(i, j): sq_dist(pts[i], pts[j]) for i, j in combinations(range(len(pts)), 2)}
+    values = sorted(set(dist.values()))
+    rank = {v: r for r, v in enumerate(values)}
+    rows = [[-1] * len(pts) for _ in pts]
+    for (i, j), d in dist.items():
+        rows[i][j] = rows[j][i] = rank[d]
+    return values, rows
+
+
+def _random_points(rng, disc, n):
+    """n distinct points of Q(sqrt disc)^2 with negative and non-integer parts."""
+    def part():
+        return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6)))
+
+    def scalar():
+        return QScalar(part(), part() if disc > 1 else 0, disc)
+
+    pts = []
+    while len(pts) < n:
+        p = QPoint(scalar(), scalar())
+        if p not in pts:
+            pts.append(p)
+    return pts
+
+
+@pytest.mark.parametrize("disc", [1, 2, 3])
+def test_ground_set_from_points_matches_pairwise_reference(disc):
+    rng = random.Random(disc)
+    for n in [0, 1, 2, 3] + [rng.randint(4, 16) for _ in range(30)]:
+        pts = _random_points(rng, disc, n)
+        gs = ground_set_from_points(pts)
+        values, rows = _reference_ground_set(pts)
+        assert [repr(v) for v in gs.values] == [repr(v) for v in values]
+        assert gs._rank == tuple(map(tuple, rows))
+
+
+def test_ground_set_from_points_names_the_first_duplicate_pair():
+    pts = _random_points(random.Random(7), 3, 3)
+    # pair order visits (0, 4) before (1, 3)
+    with pytest.raises(PreconditionError, match=r"indices 0, 4$"):
+        ground_set_from_points(pts + [pts[1], pts[0]])
+
+
+def test_ground_set_from_points_refuses_two_fields():
+    pts = [O, QPoint(QScalar(0, 1, 2), 1), QPoint(2, QScalar(1, 1, 3))]
+    with pytest.raises(DiscriminantMismatch):
+        ground_set_from_points(pts)

@@ -5,9 +5,11 @@ import math
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dtl import rotation
 from dtl.errors import CostGuardExceeded, PreconditionError
 from dtl.lattice import BoundingBoxClass, bounding_box_class
 from dtl.rotation import (
@@ -250,6 +252,38 @@ def test_count_rotatable_triangles_n40():
     assert (b.total, b.three_on_box, b.two_on_box) == (130_730, 72_739, 57_991)
 
 
+def _reference_pairs(n):
+    """The rotatable pair table from `rotatable_points` of each triple."""
+    pairs = set()
+    for t in enum_primitive_triples(max(5, 2 * (n - 1) ** 2)):
+        codes = sorted(u * n + v for u, v in rotatable_points(n, t) if (u, v) != (0, 0))
+        pairs.update(a * n * n + b for a, b in combinations(codes, 2))
+    return np.array(sorted(pairs), dtype=np.int64)
+
+
+def test_rotatable_pairs_match_per_triple_reference():
+    for n in range(2, 41):
+        got = rotation._rotatable_pairs(n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _reference_pairs(n)), n
+
+
+def test_rotatable_pairs_memory_is_bounded_by_the_raw_pairs():
+    # the table peaks below 4 times the bytes of its raw per-triple pairs,
+    # and the count, whose classification holds the larger peak, below 6 MiB
+    raw_bytes = 8 * rotatable_pair_sum_bound(40)
+    peaks = []
+    for build in (rotation._rotatable_pairs, count_rotatable_triangles):
+        tracemalloc.start()
+        try:
+            build(40)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 4 * raw_bytes
+    assert peaks[1] < 6 << 20
+
+
 def test_count_rotatable_triangles_limit():
     with pytest.raises(CostGuardExceeded):
         count_rotatable_triangles(65)
@@ -356,6 +390,49 @@ def test_verify_minimality_small():
 def test_verify_minimality_counts(n, checked, skipped):
     rep = verify_minimality(n)
     assert (rep.checked, rep.skipped_axis_parallel, rep.violations) == (checked, skipped, [])
+
+
+def _reference_minimality(n):
+    """(checked, skipped_axis_parallel, violations) of the Lemma 3.1 scan,
+    pair by pair from the per-pair references."""
+    from dtl.rotation import _AXIS_PARALLEL, _minimal_set_undefined, _origin_pairs
+
+    pairs = list(_origin_pairs(n))
+    by_shape = {}
+    for key, a, b in pairs:
+        by_shape.setdefault(key, set()).add(frozenset(((0, 0), a, b)))
+    rotatable = set(rotation._rotatable_pairs(n).tolist())
+    checked, skipped, violations = 0, 0, []
+    for key, a, b in pairs:
+        reason = _minimal_set_undefined(a, b)
+        if reason is not None:
+            skipped += reason == _AXIS_PARALLEL
+            continue
+        if (a[0] * n + a[1]) * n * n + b[0] * n + b[1] in rotatable:
+            continue
+        if by_shape[key] != minimal_congruency_set(a, b):
+            violations.append((a, b))
+        checked += 1
+    return checked, skipped, violations
+
+
+def _report(rep):
+    return rep.checked, rep.skipped_axis_parallel, rep.violations
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_verify_minimality_matches_per_pair_reference(n):
+    assert _report(verify_minimality(n)) == _reference_minimality(n)
+
+
+@pytest.mark.parametrize("n, violations", [(6, 4), (8, 20), (12, 278)])
+def test_verify_minimality_reports_rotatable_pairs_without_the_table(monkeypatch, n, violations):
+    # with no pairs marked rotatable, the rotatable triangles whose class is
+    # larger than their minimal set are violations, in pair order
+    monkeypatch.setattr(rotation, "_rotatable_pairs", lambda n: np.empty(0, dtype=np.int64))
+    got = _report(verify_minimality(n))
+    assert got == _reference_minimality(n)
+    assert len(got[2]) == violations
 
 
 def test_verify_minimality_guard():
