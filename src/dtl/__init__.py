@@ -3,15 +3,10 @@ point sets and lattices."""
 
 __version__ = "0.1.0"
 
-from .qscalar import QScalar, scalar_cmp
+from .qscalar import QScalar
 from .geometry import (
-    CongruenceFlag,
     QPoint,
     TriangleShape,
-    classify,
-    classify_congruence,
-    congruent_apex_positions,
-    diameter,
     distinct_triangle_count,
     is_degenerate,
     shape_of,
@@ -33,15 +28,11 @@ from .lattice import (
 from .rotation import (
     PythTriple,
     RotatableBreakdown,
-    RotationCongruence,
-    congruency_class_at_origin,
     constant_sum,
     count_rotatable_points,
     count_rotatable_triangles,
     enum_primitive_triples,
     is_rotatable_by,
-    is_rotatable_point,
-    is_rotatable_triangle,
     lemma32_bound_check,
     lemma33_spot_check,
     minimal_congruency_set,

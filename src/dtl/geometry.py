@@ -1,4 +1,4 @@
-"""Exact planar points, triangle shapes, congruence predicates, and ground sets.
+"""Exact planar points, triangle shapes, and ground sets.
 
 A "triangle" is an unordered triple of distinct points, collinear triples
 included. Its shape key is the sorted triple of squared side lengths, which
@@ -11,12 +11,11 @@ squared-distance matrix, or float coordinates compared under a tolerance.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .errors import DiscriminantMismatch, PreconditionError
@@ -89,100 +88,6 @@ def shape_of(a: QPoint, b: QPoint, c: QPoint) -> TriangleShape:
 def is_degenerate(s: TriangleShape) -> bool:
     """True iff the shape has zero area (collinear vertices)."""
     return s.sixteen_area_sq().is_zero()
-
-
-def is_right(s: TriangleShape) -> bool:
-    return (s.s1 + s.s2) == s.s3
-
-
-def is_isosceles(s: TriangleShape) -> bool:
-    return s.s1 == s.s2 or s.s2 == s.s3
-
-
-@dataclass(frozen=True)
-class ShapeClass:
-    isosceles: bool
-    right: bool
-    degenerate: bool
-
-
-def classify(s: TriangleShape) -> ShapeClass:
-    return ShapeClass(is_isosceles(s), is_right(s), is_degenerate(s))
-
-
-class CongruenceFlag(enum.Flag):
-    """Which reflection (per the shared-side congruence trichotomy) maps C to D."""
-
-    AXIS = enum.auto()  # reflection across line AB
-    MIDPOINT = enum.auto()  # point reflection through the midpoint of AB
-    PERP_BISECTOR = enum.auto()  # reflection across the perpendicular bisector of AB
-
-
-def _reflect_across_line(a: QPoint, b: QPoint, c: QPoint) -> QPoint:
-    # Project c onto line ab, then mirror. Division keeps us inside the field.
-    ab = b - a
-    ac = c - a
-    n2 = ab.x * ab.x + ab.y * ab.y
-    t = (ac.x * ab.x + ac.y * ab.y) / n2
-    foot = QPoint(a.x + t * ab.x, a.y + t * ab.y)
-    return QPoint(2 * foot.x - c.x, 2 * foot.y - c.y)
-
-
-def _reflect_across_midpoint(a: QPoint, b: QPoint, c: QPoint) -> QPoint:
-    return QPoint(a.x + b.x - c.x, a.y + b.y - c.y)
-
-
-def _reflect_across_perp_bisector(a: QPoint, b: QPoint, c: QPoint) -> QPoint:
-    # Composition of the other two reflections.
-    return _reflect_across_line(a, b, _reflect_across_midpoint(a, b, c))
-
-
-_REFLECTIONS = (
-    (CongruenceFlag.AXIS, _reflect_across_line),
-    (CongruenceFlag.MIDPOINT, _reflect_across_midpoint),
-    (CongruenceFlag.PERP_BISECTOR, _reflect_across_perp_bisector),
-)
-
-
-def congruent_apex_positions(a: QPoint, b: QPoint, c: QPoint) -> list[QPoint]:
-    """The other apex positions d != c with shape(a,b,d) = shape(a,b,c).
-
-    These are the three reflections of c (across line ab, the midpoint of ab,
-    and the perpendicular bisector of ab), deduplicated and with c itself
-    removed. All three stay inside Q(sqrt(D)) because each reflection is a
-    rational function of the input coordinates.
-    """
-    if a == b:
-        raise PreconditionError("a and b must be distinct")
-    if c == a or c == b:
-        raise PreconditionError("c must differ from a and b")
-    out: list[QPoint] = []
-    for _, refl in _REFLECTIONS:
-        d = refl(a, b, c)
-        if d != c and d not in out:
-            out.append(d)
-    return out
-
-
-def classify_congruence(a: QPoint, b: QPoint, c: QPoint, d: QPoint) -> CongruenceFlag:
-    """The set of reflections that map c to d, given shape(a,b,c) = shape(a,b,d).
-
-    Guaranteed nonempty: two triangles on the same base with equal shape have
-    their apexes related by at least one of the three reflections.
-    """
-    if shape_of(a, b, c) != shape_of(a, b, d):
-        raise PreconditionError("shapes of abc and abd differ")
-    if c == d:
-        raise PreconditionError("c and d must be distinct")
-    flags = CongruenceFlag(0)
-    for flag, refl in _REFLECTIONS:
-        if refl(a, b, c) == d:
-            flags |= flag
-    if not flags:
-        raise AssertionError(
-            f"congruence trichotomy violated for a={a} b={b} c={c} d={d}"
-        )
-    return flags
 
 
 DEFAULT_TOLERANCE = 1e-9
@@ -278,6 +183,8 @@ def ground_set_from_points(points: Sequence[QPoint], label: str = "points") -> G
 def ground_set_from_matrix(
     n: int, entries: Sequence[QScalar], label: str = "matrix"
 ) -> GroundSet:
+    if n < 0:
+        raise PreconditionError(f"matrix size must be >= 0, got {n}")
     if len(entries) != n * (n - 1) // 2:
         raise PreconditionError(
             f"expected {n * (n - 1) // 2} upper-triangle entries, got {len(entries)}"
@@ -294,13 +201,15 @@ def ground_set_from_floats(
     tolerance: float = DEFAULT_TOLERANCE,
     label: str = "float",
 ) -> GroundSet:
-    """Tolerance path: squared distances are divided by the squared diameter
+    """Tolerance path: squared distances are divided by the largest one
     and sorted, and a new rank starts only where the gap to the previous
     value exceeds `tolerance`. So values chained by gaps of at most the
     tolerance share a rank, and a tolerance of 0 means exact float equality.
     `values` holds the smallest raw squared distance of each rank."""
     if not tolerance >= 0:
         raise PreconditionError(f"tolerance must be >= 0, got {tolerance}")
+    if not all(map(math.isfinite, chain.from_iterable(points))):
+        raise PreconditionError("float coordinates must be finite")
     raw = [(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in combinations(points, 2)]
     diam = max(raw, default=0.0)
     if diam <= 0:
@@ -327,10 +236,3 @@ def distinct_triangle_count(
         shapes = [s for s in shapes if not is_degenerate(s)]
     return len(shapes), shapes
 
-
-def diameter(points: Iterable[QPoint]) -> QScalar:
-    """Maximum pairwise squared distance of the set."""
-    pts = list(points)
-    if len(pts) < 2:
-        raise PreconditionError("diameter needs at least 2 points")
-    return max(sq_dist(p, q) for p, q in combinations(pts, 2))

@@ -51,7 +51,7 @@ PointFile = Union[ExactPointSet, FloatPointSet, DistanceMatrix]
 def _frac(tok: str, path: str, lineno: int) -> Fraction:
     try:
         return Fraction(tok)
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise FormatError(f"{path}:{lineno}: bad fraction {tok!r}") from e
 
 
@@ -61,45 +61,46 @@ def load_point_file(path: str | Path) -> PointFile:
         lines = path.read_text().splitlines()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
-    lines = [ln.strip() for ln in lines]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    # (1-based file line, stripped text) of each line that is not blank or a comment
+    lines = [(i, ln.strip()) for i, ln in enumerate(lines, start=1)]
+    lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise FormatError(f"{path}: empty file")
-    header = lines[0].split()
-    body = lines[1:]
+    (head, text), body = lines[0], lines[1:]
+    header = text.split()
     if header[:2] == ["dtl-pointset", "v1"]:
         if len(header) != 3:
-            raise FormatError(f"{path}:1: malformed pointset header")
+            raise FormatError(f"{path}:{head}: malformed pointset header")
         if header[2] == "float":
             return _load_float_points(body, str(path))
-        return _load_exact_points(_parse_disc(header[2], str(path)), body, str(path))
+        return _load_exact_points(_parse_disc(header[2], str(path), head), body, str(path))
     if header[:2] == ["dtl-distmatrix", "v1"]:
         if len(header) != 4 or not header[3].startswith("n="):
-            raise FormatError(f"{path}:1: malformed distmatrix header")
-        disc = _parse_disc(header[2], str(path))
+            raise FormatError(f"{path}:{head}: malformed distmatrix header")
+        disc = _parse_disc(header[2], str(path), head)
         try:
             n = int(header[3][2:])
         except ValueError as e:
-            raise FormatError(f"{path}:1: bad n in header") from e
+            raise FormatError(f"{path}:{head}: bad n in header") from e
         return _load_matrix(disc, n, body, str(path))
-    raise FormatError(f"{path}:1: unknown header {lines[0]!r}")
+    raise FormatError(f"{path}:{head}: unknown header {text!r}")
 
 
-def _parse_disc(tok: str, path: str) -> int:
+def _parse_disc(tok: str, path: str, lineno: int) -> int:
     if not tok.startswith("D="):
-        raise FormatError(f"{path}:1: expected D=<int>, got {tok!r}")
+        raise FormatError(f"{path}:{lineno}: expected D=<int>, got {tok!r}")
     try:
         d = int(tok[2:])
     except ValueError as e:
-        raise FormatError(f"{path}:1: bad discriminant {tok!r}") from e
+        raise FormatError(f"{path}:{lineno}: bad discriminant {tok!r}") from e
     if not is_square_free(d):
-        raise FormatError(f"{path}:1: discriminant {d} is not square-free positive")
+        raise FormatError(f"{path}:{lineno}: discriminant {d} is not square-free positive")
     return d
 
 
-def _load_exact_points(disc: int, body: list[str], path: str) -> ExactPointSet:
+def _load_exact_points(disc: int, body: list[tuple[int, str]], path: str) -> ExactPointSet:
     pts = []
-    for i, ln in enumerate(body, start=2):
+    for i, ln in body:
         toks = ln.split()
         if len(toks) != 5 or toks[0] != "p":
             raise FormatError(f"{path}:{i}: expected 'p x_rat x_rad y_rat y_rad'")
@@ -108,9 +109,9 @@ def _load_exact_points(disc: int, body: list[str], path: str) -> ExactPointSet:
     return ExactPointSet(disc, pts)
 
 
-def _load_float_points(body: list[str], path: str) -> FloatPointSet:
+def _load_float_points(body: list[tuple[int, str]], path: str) -> FloatPointSet:
     pts = []
-    for i, ln in enumerate(body, start=2):
+    for i, ln in body:
         toks = ln.split()
         if len(toks) != 3 or toks[0] != "p":
             raise FormatError(f"{path}:{i}: expected 'p x y'")
@@ -121,17 +122,15 @@ def _load_float_points(body: list[str], path: str) -> FloatPointSet:
     return FloatPointSet(pts)
 
 
-def _load_matrix(disc: int, n: int, body: list[str], path: str) -> DistanceMatrix:
-    toks = " ".join(body).split()
+def _load_matrix(disc: int, n: int, body: list[tuple[int, str]], path: str) -> DistanceMatrix:
+    toks = [(tok, i) for i, ln in body for tok in ln.split()]
     want = n * (n - 1) // 2
     if len(toks) != 2 * want:
         raise FormatError(
             f"{path}: expected {want} entry pairs for n={n}, got {len(toks) // 2}"
         )
-    entries = [
-        QScalar(_frac(toks[2 * i], path, 0), _frac(toks[2 * i + 1], path, 0), disc)
-        for i in range(want)
-    ]
+    fracs = [_frac(tok, path, i) for tok, i in toks]
+    entries = [QScalar(rat, rad, disc) for rat, rad in zip(fracs[::2], fracs[1::2])]
     return DistanceMatrix(disc, n, entries)
 
 

@@ -176,8 +176,3 @@ def _coerce(x: "QScalar | RatLike") -> QScalar:
 def _frac_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
-
-def scalar_cmp(a: QScalar, b: QScalar) -> int:
-    """Exact three-way comparison of two scalars sharing a field: -1, 0 or +1."""
-    _joint_disc(a, b)
-    return (a - b).sign()

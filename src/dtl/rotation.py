@@ -1,5 +1,7 @@
-"""Primitive Pythagorean triples, rotatable lattice points and triangles,
-minimal congruency classes, and the tail-bounded constant sum.
+"""Primitive Pythagorean triples, the points and origin triangles of
+[n] x [n] that one triple's angle keeps on the lattice, minimal congruency
+sets with the Lemma 3.1 scan, the Lemma 3.2 and 3.3 bound checks, and the
+tail-bounded constant sum.
 
 Convention: a triple (p, q, r) encodes the rotation angle with cos = q/r and
 sin = p/r, so the image of (a, b) is ((a*q - b*p)/r, (a*p + b*q)/r). A point
@@ -21,8 +23,7 @@ per-pair and per-triple references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from itertools import chain
 from math import gcd, isqrt
 
@@ -92,27 +93,6 @@ def enum_primitive_triples(max_r: int) -> list[PythTriple]:
     return [PythTriple(*t) for t in zip(*(a[order].tolist() for a in (p, q, r)))]
 
 
-@lru_cache(maxsize=32)
-def _triples_upto(max_r: int) -> tuple[PythTriple, ...]:
-    return tuple(enum_primitive_triples(max_r)) if max_r >= 5 else ()
-
-
-@dataclass(frozen=True)
-class RotationCongruence:
-    """Membership test a = c*b (mod r) for rotatability by the triple's angle."""
-
-    triple: PythTriple
-    c: int = field(init=False)
-
-    def __post_init__(self):
-        t = self.triple
-        object.__setattr__(self, "c", t.p * pow(t.q, -1, t.r) % t.r)
-
-    def member(self, pt: Point) -> bool:
-        a, b = pt
-        return (a - self.c * b) % self.triple.r == 0
-
-
 def rotate_exact(pt: Point, t: PythTriple) -> Point | None:
     """Exact image of pt under the triple's rotation, or None when the image
     leaves the lattice."""
@@ -128,49 +108,16 @@ def is_rotatable_by(pt: Point, t: PythTriple) -> bool:
     return rotate_exact(pt, t) is not None
 
 
-def is_rotatable_point(pt: Point) -> bool:
-    """True iff some rotation by an angle not a multiple of 90 degrees keeps
-    pt on the lattice."""
-    if pt == ORIGIN:
-        raise PreconditionError("rotatability of the origin is vacuous")
-    norm = pt[0] * pt[0] + pt[1] * pt[1]
-    # A triple that rotates pt has r | norm, so any list reaching norm will do.
-    return any(is_rotatable_by(pt, t) for t in _triples_upto(1 << norm.bit_length()))
-
-
-def has_split_prime_factor(n: int) -> bool:
-    """n has a prime factor congruent to 1 mod 4: the number-theoretic
-    reference that `is_rotatable_point(pt)` must match on the norm of pt."""
-    for p in _prime_factors(n):
-        if p % 4 == 1:
-            return True
-    return False
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def rotatable_points(n: int, t: PythTriple) -> list[Point]:
     """All points of [n] x [n] rotatable by the triple's angle, the origin
     included (it is fixed by every rotation)."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    cong = RotationCongruence(t)
     r = t.r
+    c = t.p * pow(t.q, -1, r) % r
     pts = []
     for b in range(n):
-        a = (cong.c * b) % r
+        a = (c * b) % r
         while a < n:
             pts.append((a, b))
             a += r
@@ -212,17 +159,6 @@ def _rotatable_pairs(n: int) -> np.ndarray:
     return _sorted_unique([first])
 
 
-def is_rotatable_triangle(a: Point, b: Point) -> bool:
-    """True iff some single angle rotates both non-origin vertices."""
-    if a == ORIGIN or b == ORIGIN or a == b:
-        raise PreconditionError("O, a, b must be pairwise distinct")
-    bound = min(a[0] * a[0] + a[1] * a[1], b[0] * b[0] + b[1] * b[1])
-    return any(
-        is_rotatable_by(a, t) and is_rotatable_by(b, t)
-        for t in _triples_upto(1 << bound.bit_length())
-    )
-
-
 @dataclass(frozen=True)
 class RotatableBreakdown:
     total: int
@@ -250,15 +186,6 @@ def count_rotatable_triangles(n: int) -> RotatableBreakdown:
     # three-on-box iff a is on the box too.
     three = int(np.count_nonzero((au == 0) | (av == 0) | (au == bu) | (av >= bv)))
     return RotatableBreakdown(int(pairs.size), three, int(pairs.size) - three)
-
-
-def rotatable_pair_sum_bound(n: int) -> int:
-    """Sum over triples of C(f, 2) with f the rotatable-point count (origin
-    excluded): an upper bound on the rotatable-triangle count."""
-    return sum(
-        math.comb(count_rotatable_points(n, t) - 1, 2)
-        for t in _triples_upto(2 * (n - 1) * (n - 1))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +277,6 @@ def _origin_pairs(n: int):
     for i, a in enumerate(pts):
         for b in pts[i + 1 :]:
             yield _shape_key(a, b), a, b
-
-
-def congruency_class_at_origin(a: Point, b: Point, n: int) -> set[Triangle]:
-    """All origin-vertex triangles inside [n] x [n] with the same shape key as
-    {O, a, b}."""
-    for p in (a, b):
-        if not (0 <= p[0] < n and 0 <= p[1] < n):
-            raise PreconditionError(f"point {p} outside [{n}] x [{n}]")
-    if a == ORIGIN or b == ORIGIN or a == b:
-        raise PreconditionError("O, a, b must be pairwise distinct")
-    key = _shape_key(a, b)
-    return {frozenset((ORIGIN, c, d)) for k, c, d in _origin_pairs(n) if k == key}
 
 
 @dataclass
@@ -474,7 +389,7 @@ def lemma32_bound_check(max_r: int, max_n: int) -> BoundCheckReport:
     if max_r > 100 or max_n > 50:
         raise CostGuardExceeded("bound check limited to max_r <= 100, max_n <= 50")
     cases = []
-    for t in _triples_upto(max_r):
+    for t in enum_primitive_triples(max_r):
         for n in range(1, max_n + 1):
             count = count_rotatable_points(n, t)
             bound = rotatable_point_bound(n, t.r)

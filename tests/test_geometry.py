@@ -1,4 +1,4 @@
-"""Triangle shapes, congruence predicates, and distinct-triangle counting."""
+"""Triangle shapes, ground sets, and distinct-triangle counting."""
 
 import random
 from fractions import Fraction as F
@@ -9,19 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dtl.errors import DiscriminantMismatch, PreconditionError
 from dtl.geometry import (
-    CongruenceFlag,
     QPoint,
-    ShapeClass,
     TriangleShape,
-    classify,
-    classify_congruence,
-    congruent_apex_positions,
-    diameter,
     distinct_triangle_count,
+    ground_set_from_matrix,
     ground_set_from_points,
     is_degenerate,
-    is_isosceles,
-    is_right,
     shape_of,
     sq_dist,
 )
@@ -46,8 +39,6 @@ UNIT_SQUARE = [O, QPoint(1, 0), QPoint(0, 1), QPoint(1, 1)]
 def test_shape_sorted_sides():
     s = shape_of(O, QPoint(3, 0), QPoint(0, 4))
     assert (s.s1, s.s2, s.s3) == (QScalar(9), QScalar(16), QScalar(25))
-    assert is_right(s)
-    assert not is_isosceles(s)
     assert not is_degenerate(s)
 
 
@@ -80,39 +71,9 @@ def test_sixteen_area_sq_matches_heron():
     assert s.sixteen_area_sq() == QScalar(576)
 
 
-def test_classify():
-    assert classify(shape_of(O, QPoint(1, 1), QPoint(2, 2))).degenerate
-    assert classify(shape_of(O, QPoint(3, 0), QPoint(0, 4))).right
-    assert classify(shape_of(O, QPoint(2, 1), QPoint(1, 2))).isosceles
-    scalene = classify(shape_of(O, QPoint(3, 0), QPoint(1, 1)))
-    assert not (scalene.isosceles or scalene.right or scalene.degenerate)
-
-
 def test_triangle_shape_rejects_nonpositive():
     with pytest.raises(PreconditionError):
         TriangleShape(QScalar(0), QScalar(1), QScalar(1))
-
-
-def test_apex_positions_share_shape():
-    a, b, c = O, QPoint(4, 0), QPoint(1, 2)
-    base = shape_of(a, b, c)
-    alts = congruent_apex_positions(a, b, c)
-    assert alts  # at least the reflection across AB
-    for d in alts:
-        assert d != c
-        assert shape_of(a, b, d) == base
-
-
-def test_classify_congruence_nonempty():
-    a, b, c = O, QPoint(4, 0), QPoint(1, 2)
-    for d in congruent_apex_positions(a, b, c):
-        assert classify_congruence(a, b, c, d) != CongruenceFlag(0)
-
-
-def test_axis_reflection_flagged():
-    a, b, c = O, QPoint(4, 0), QPoint(1, 2)
-    mirror = QPoint(1, -2)
-    assert CongruenceFlag.AXIS in classify_congruence(a, b, c, mirror)
 
 
 def test_unit_square_one_triangle():
@@ -133,11 +94,6 @@ def test_degenerate_flag():
     with_deg, _ = distinct_triangle_count(pts, include_degenerate=True)
     without, _ = distinct_triangle_count(pts, include_degenerate=False)
     assert with_deg == without + 1
-
-
-def test_diameter():
-    assert diameter(UNIT_SQUARE) == QScalar(2)
-    assert diameter(HEXAGON) == QScalar(4)
 
 
 coords = st.integers(min_value=-6, max_value=6)
@@ -248,3 +204,14 @@ def test_ground_set_from_points_refuses_two_fields():
     pts = [O, QPoint(QScalar(0, 1, 2), 1), QPoint(2, QScalar(1, 1, 3))]
     with pytest.raises(DiscriminantMismatch):
         ground_set_from_points(pts)
+
+
+# --- ground sets from matrices ----------------------------------------------
+
+def test_ground_set_from_matrix_refuses_a_negative_size():
+    # n = -3 asks for (-3)(-4)/2 = 6 entries
+    with pytest.raises(PreconditionError, match="size must be >= 0"):
+        ground_set_from_matrix(-3, [QScalar(1)] * 6)
+    assert ground_set_from_matrix(0, []).size == 0
+    assert ground_set_from_matrix(1, []).size == 1
+

@@ -96,10 +96,20 @@ def test_malformed_rejected(tmp_path, text):
 
 
 def test_format_error_carries_line(tmp_path):
+    # the 1-based file line, counting comment and blank lines
+    cases = [
+        ("dtl-pointset v1 D=3\np 0 0 0 0\np 1 0\n", 3),
+        ("# hexagon\n\ndtl-pointset v1 D=3\np 0 0 0 0\np 1 x 0 0\n", 5),
+        ("# c\n\ndtl-pointset v1 D=4\n", 3),
+        ("# c\n\ndtl-pointset v1 float\np 0 0\n\np 1 nope\n", 6),
+        ("dtl-distmatrix v1 D=1 n=3\n1 0\n1 0\n1 x\n", 4),
+        ("# m\ndtl-distmatrix v1 D=1 n=3\n1 0 1 0\n\n# last\n1/0 0\n", 6),  # zero denominator
+    ]
     f = tmp_path / "bad.dtl"
-    f.write_text("dtl-pointset v1 D=3\np 0 0 0 0\np 1 0\n")
-    with pytest.raises(FormatError, match=r":3"):
-        load_point_file(f)
+    for text, line in cases:
+        f.write_text(text)
+        with pytest.raises(FormatError, match=rf"bad\.dtl:{line}: "):
+            load_point_file(f)
 
 
 # --- CLI --------------------------------------------------------------------
@@ -386,6 +396,24 @@ def test_cli_pointset_tolerance(tmp_path, capsys, tol, code):
         ]
     else:
         assert captured.out == "" and "tolerance" in captured.err
+
+
+@pytest.mark.parametrize("command", [["pointset", "--file"], ["search", "--k", "1", "--ground"]],
+                         ids=["pointset", "search"])
+@pytest.mark.parametrize("text", [
+    "dtl-pointset v1 float\np 0 0\np 1 0\np nan 1\np 0 1\n",
+    "dtl-pointset v1 float\np nan 0\np 1 0\np 2 1\np 0 1\n",
+    "dtl-pointset v1 float\np 0 0\np inf 0\np 2 1\np 0 1\n",
+    # six entries, as many as n(n - 1)/2 asks for at n = -3
+    "dtl-distmatrix v1 D=1 n=-3\n" + "1 0\n" * 6,
+], ids=["nan-third", "nan-first", "inf", "matrix-n-3"])
+def test_cli_rejects_a_non_finite_or_negative_size_file(tmp_path, capsys, command, text):
+    f = tmp_path / "bad.dtl"
+    f.write_text(text)
+    spec = f"file:{f}" if command[0] == "search" else str(f)
+    assert run(command + [spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtl.errors import DiscriminantMismatch
-from dtl.qscalar import QScalar, scalar_cmp
+from dtl.qscalar import QScalar
 
 SQRT2 = QScalar(0, 1, 2)
 SQRT3 = QScalar(0, 1, 3)
@@ -88,15 +88,17 @@ def qscalars(disc):
 
 @given(qscalars(2), qscalars(2), qscalars(2))
 def test_cmp_transitive(a, b, c):
-    if scalar_cmp(a, b) <= 0 and scalar_cmp(b, c) <= 0:
-        assert scalar_cmp(a, c) <= 0
+    if a <= b and b <= c:
+        assert a <= c
+    if a < b and b < c:
+        assert a < c
 
 
 @given(qscalars(3), qscalars(3))
 def test_cmp_antisymmetric(a, b):
-    assert scalar_cmp(a, b) == -scalar_cmp(b, a)
-    if scalar_cmp(a, b) == 0:
-        assert a == b
+    assert (a < b) == (b > a)
+    # exactly one of <, ==, > holds
+    assert (a < b) + (a == b) + (a > b) == 1
 
 
 @given(qscalars(5), qscalars(5))
@@ -108,7 +110,8 @@ def test_field_ops_consistent_with_float(a, b):
 @given(qscalars(2))
 def test_cmp_agrees_with_float(a):
     b = QScalar(F(3, 2))
-    got = scalar_cmp(a, b)
     approx = float(a) - float(b)
     if abs(approx) > 1e-9:
-        assert got == (1 if approx > 0 else -1)
+        assert (a > b) == (approx > 0)
+        assert (a < b) == (approx < 0)
+        assert a != b

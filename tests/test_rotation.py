@@ -16,18 +16,13 @@ from dtl.rotation import (
     _INT64_MAX_R,
     PythTriple,
     constant_sum,
-    congruency_class_at_origin,
     count_rotatable_points,
     count_rotatable_triangles,
     enum_primitive_triples,
-    has_split_prime_factor,
     is_rotatable_by,
-    is_rotatable_point,
-    is_rotatable_triangle,
     lemma32_bound_check,
     lemma33_spot_check,
     minimal_congruency_set,
-    rotatable_pair_sum_bound,
     rotatable_point_bound,
     rotatable_points,
     rotate_exact,
@@ -126,13 +121,11 @@ def test_coordinate_integrality_equivalence():
 
 
 def test_congruence_image_agreement():
-    from dtl.rotation import RotationCongruence
-
+    # the points a = c*b (mod r) that rotatable_points lists are exactly
+    # those whose image exists
     for t in enum_primitive_triples(30):
-        cong = RotationCongruence(t)
-        for a in range(t.r):
-            for b in range(t.r):
-                assert cong.member((a, b)) == is_rotatable_by((a, b), t)
+        box = [(a, b) for b in range(t.r) for a in range(t.r)]
+        assert set(rotatable_points(t.r, t)) == {p for p in box if is_rotatable_by(p, t)}
 
 
 def test_quarter_turn_periodicity():
@@ -147,22 +140,6 @@ def test_quarter_turn_periodicity():
 
 
 # --- rotatable points -------------------------------------------------------
-
-def test_rotatable_point_examples():
-    assert not is_rotatable_point((1, 1))
-    assert is_rotatable_point((2, 1))
-    assert not is_rotatable_point((1, 0))
-    with pytest.raises(PreconditionError):
-        is_rotatable_point((0, 0))
-
-
-def test_split_prime_characterization():
-    for a in range(40):
-        for b in range(40):
-            if (a, b) == (0, 0):
-                continue
-            assert is_rotatable_point((a, b)) == has_split_prime_factor(a * a + b * b)
-
 
 def test_rotatable_points_5():
     assert set(rotatable_points(5, T345)) == {(0, 0), (2, 1), (4, 2), (1, 3), (3, 4)}
@@ -200,15 +177,29 @@ def test_lemma32_bounds_hold():
 # --- rotatable triangles ----------------------------------------------------
 
 def test_rotatable_triangle_examples():
-    assert not is_rotatable_triangle((2, 1), (1, 1))
-    assert not is_rotatable_triangle((1, 0), (0, 1))
+    pairs = set(rotation._rotatable_pairs(5).tolist())
+
+    def rotatable(a, b):
+        ca, cb = sorted((a[0] * 5 + a[1], b[0] * 5 + b[1]))
+        return ca * 25 + cb in pairs
+
+    assert not rotatable((2, 1), (1, 1))
+    assert not rotatable((1, 0), (0, 1))
     # (2,1) and (4,2) share (3,4,5): images (1,2) and (2,4)
-    assert is_rotatable_triangle((2, 1), (4, 2))
+    assert rotatable((2, 1), (4, 2))
     # (2,1) is only rotatable at (3,4,5)'s angle, (1,2) only at (4,3,5)'s;
     # no single rotation moves both, so the pair is not simultaneously rotatable
-    assert not is_rotatable_triangle((2, 1), (1, 2))
-    with pytest.raises(PreconditionError):
-        is_rotatable_triangle((1, 1), (1, 1))
+    assert not rotatable((2, 1), (1, 2))
+
+
+def _pair_sum_bound(n):
+    """Sum over triples of C(f, 2) with f the rotatable-point count of
+    [n] x [n], origin excluded: the raw per-triple pairs, an upper bound on
+    the rotatable-triangle count."""
+    return sum(
+        math.comb(count_rotatable_points(n, t) - 1, 2)
+        for t in enum_primitive_triples(max(5, 2 * (n - 1) ** 2))
+    )
 
 
 def test_count_rotatable_triangles_small():
@@ -216,7 +207,7 @@ def test_count_rotatable_triangles_small():
     assert count_rotatable_triangles(3).total == 0
     b = count_rotatable_triangles(8)
     assert b.total == b.three_on_box + b.two_on_box
-    assert b.total <= rotatable_pair_sum_bound(8)
+    assert b.total <= _pair_sum_bound(8)
 
 
 def _reference_breakdown(n):
@@ -239,12 +230,14 @@ def test_count_rotatable_triangles_matches_pair_set(n):
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_rotatable_pair_sum_bound_matches_plain_sum(n):
+    # the bound the pair-table tests use, from count_rotatable_points,
+    # against a plain count of each triple's points over the grid
     grid = [(u, v) for u in range(n) for v in range(n) if (u, v) != (0, 0)]
     want = 0
     for t in enum_primitive_triples(max(5, 2 * (n - 1) ** 2)):
         f = sum(is_rotatable_by(pt, t) for pt in grid)
         want += f * (f - 1) // 2
-    assert rotatable_pair_sum_bound(n) == want
+    assert _pair_sum_bound(n) == want
 
 
 def test_count_rotatable_triangles_n40():
@@ -271,7 +264,7 @@ def test_rotatable_pairs_match_per_triple_reference():
 def test_rotatable_pairs_memory_is_bounded_by_the_raw_pairs():
     # the table peaks below 4 times the bytes of its raw per-triple pairs,
     # and the count, whose classification holds the larger peak, below 6 MiB
-    raw_bytes = 8 * rotatable_pair_sum_bound(40)
+    raw_bytes = 8 * _pair_sum_bound(40)
     peaks = []
     for build in (rotation._rotatable_pairs, count_rotatable_triangles):
         tracemalloc.start()
@@ -334,26 +327,11 @@ def test_minimal_set_type1():
         frozenset({(0, 0), (2, 3), (1, 2)}),
     }
     assert got == want
-    # triangle is not rotatable so the class is exactly minimal
-    assert congruency_class_at_origin((3, 2), (1, 1), 4) == got
 
 
 def test_minimal_set_type2():
     got = minimal_congruency_set((4, 1), (1, 3))
     assert len(got) == 2
-    assert congruency_class_at_origin((4, 1), (1, 3), 5) == got
-
-
-def test_congruency_class_holds_only_the_class():
-    # the scan keeps the matching triangles, not every origin triangle of [20]²
-    tracemalloc.start()
-    try:
-        got = congruency_class_at_origin((3, 2), (1, 1), 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == minimal_congruency_set((3, 2), (1, 1))
-    assert peak < 1 << 20
 
 
 def test_minimal_set_preconditions():
