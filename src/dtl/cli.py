@@ -10,7 +10,6 @@ exits 1 when it says `"pass": false`.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import os
@@ -75,6 +74,8 @@ class _Sink:
         self.started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
     def note_input(self, path: str | Path) -> None:
+        import hashlib  # here, so that only a command with an input file loads OpenSSL
+
         try:
             self.input_digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         except OSError as e:

@@ -210,8 +210,13 @@ def ground_set_from_floats(
         raise PreconditionError(f"tolerance must be >= 0, got {tolerance}")
     if not all(map(math.isfinite, chain.from_iterable(points))):
         raise PreconditionError("float coordinates must be finite")
-    raw = [(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in combinations(points, 2)]
+    try:
+        raw = [(p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 for p, q in combinations(points, 2)]
+    except OverflowError:  # a squared difference past the float range
+        raw = [math.inf]
     diam = max(raw, default=0.0)
+    if diam == math.inf:  # also a sum, or a difference, that overflowed
+        raise PreconditionError("float squared distances overflow the float range")
     if diam <= 0:
         raise PreconditionError("degenerate float point set")
     ranks = [0] * len(raw)

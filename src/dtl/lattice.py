@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -31,8 +30,8 @@ from .errors import CostGuardExceeded, PreconditionError
 
 DEFAULT_ORACLE_LIMIT = 8
 # Cells of the c boxes (a bound on the shape keys) per census task; fixed, so
-# the task list does not depend on workers, and small, so a task's key buffer
-# is at most 8 MB.
+# the task list does not depend on workers, and small, so a task's keys take
+# at most 8 MB.
 _TASK_KEYS = 1_000_000
 # The fewest pending keys `_union` merges at once: the cross-check's own
 # floor, independent of the kernel's task size.
@@ -211,16 +210,17 @@ def _longest_sides(n: int, q: tuple[int, int, int]):
     """
     qa, qb, qc = q
     side = np.arange(-(n - 1), n, dtype=np.int64)
-    du, dv = np.repeat(side, side.size), np.tile(side, side.size)
-    signs = [(s, t) for s in (1, -1) for t in (1, -1) if s * t * qb == qb]
-    images = [(s * du, t * dv) for s, t in signs]
-    if qa == qc:
-        images += [(s * dv, t * du) for s, t in signs]
-    rank = du * side.size + dv  # row-major order
+    # the (du, dv) grid by broadcasting a column against a row, so each orbit
+    # image costs one temporary rank array
+    col, size = side[:, None], side.size
+    rank = col * size + side  # row-major order
     keep = rank != 0
-    for gu, gv in images:
-        keep &= rank >= gu * side.size + gv
-    du, dv = du[keep], dv[keep]
+    for s, t in [(s, t) for s in (1, -1) for t in (1, -1) if s * t * qb == qb]:
+        keep &= rank >= s * col * size + t * side
+        if qa == qc:
+            keep &= rank >= s * side * size + t * col
+    i, j = np.nonzero(keep)
+    du, dv = side[i], side[j]
     h = qa * du * du + qb * du * dv + qc * dv * dv
     order = np.argsort(h, kind="stable")
     du, dv, h = du[order], dv[order], h[order]
@@ -255,17 +255,22 @@ def _key_dtype(width: int):
     return np.uint32 if 2 * width <= 32 else np.int64
 
 
+def _task_bytes(task: tuple) -> int:
+    """A bound on the bytes a task holds at once: a key per c-box cell (the
+    buffer holds only the kept ones), two batch temporaries of keys, and the
+    temporaries of its u rows."""
+    _, width, _, rows, cells = task
+    return (np.dtype(_key_dtype(width)).itemsize * (cells + 4 * _BATCH_KEYS)
+            + _ROW_BYTES * int((rows[4] - rows[3] + 1).sum()))
+
+
 def _check_memory(tasks: list[tuple], workers: int) -> None:
     """Raise CostGuardExceeded when the processes that run the tasks, each
-    holding a task's key buffer, the temporaries of its u rows and two batch
-    temporaries of keys, could exceed _MEMORY_BUDGET."""
-    task_bytes = max(
-        np.dtype(_key_dtype(width)).itemsize * (cells + 4 * _BATCH_KEYS)
-        + _ROW_BYTES * int((rows[4] - rows[3] + 1).sum())
-        for _, width, _, rows, cells in tasks
-    )
+    holding at most `_task_bytes` of its largest task, could exceed
+    _MEMORY_BUDGET. The charge counts c-box cells, an upper bound on the keys
+    a task writes, as the exact count is known only once its runs are."""
     pool = max(1, min(workers, len(tasks)))
-    peak = pool * task_bytes
+    peak = pool * max(map(_task_bytes, tasks))
     if peak > _MEMORY_BUDGET:
         raise CostGuardExceeded(
             f"census needs about {peak >> 20} MB in a pool of {pool}, "
@@ -331,50 +336,52 @@ def _runs(q, rows, include_degenerate):
     return d[keep >> 1], u[keep >> 1], first.ravel()[keep], size.ravel()[keep]
 
 
-def _side_keys(q, width, rows, include_degenerate, out) -> np.ndarray:
-    """Writes to the front of `out` the keys q(c) * 2**width + q(c - d) of the
-    kept c of the rows' d, in `_runs` order, and returns each d's key count.
-    Kept are the c != 0 with q(c) <= q(c - d) <= h, off the line through 0 and
-    d unless `include_degenerate`: the triangles {0, d, c} with longest side
-    d, one of each pair c, d - c that swapping P and Q exchanges.
+def _side_keys(q, width, rows, include_degenerate):
+    """The keys q(c) * 2**width + q(c - d) of the kept c of the rows' d, in
+    `_runs` order, in a new buffer of `_key_dtype(width)` exactly as long as
+    the keys, and each d's key count. Kept are the c != 0 with
+    q(c) <= q(c - d) <= h, off the line through 0 and d unless
+    `include_degenerate`: the triangles {0, d, c} with longest side d, one of
+    each pair c, d - c that swapping P and Q exchanges.
 
     With L(c) = q(c) + h - q(c - d), linear in c, a key is (2**width + 1) q(c)
     - L(c) + h: along a run from v, the quadratic (a*t + s)*t + k in the step
-    t = 0, 1, .... It is evaluated in the dtype of `out` in batches of whole
-    runs, about _BATCH_KEYS keys each; uint32 products may wrap, but every key
-    fits, so the wrapped result is exact.
+    t = 0, 1, .... It is evaluated in the key type in batches of whole runs,
+    about _BATCH_KEYS keys each; uint32 products may wrap, but every key fits,
+    so the wrapped result is exact.
     """
     qa, qb, qc = q
     d, u, v, size = _runs(q, rows, include_degenerate)
+    dtype = _key_dtype(width)
     du, dv, h = rows[0, d], rows[1, d], rows[2, d]
     lu, lv = 2 * qa * du + qb * dv, qb * du + 2 * qc * dv  # L(c) = lu u + lv v
     m = (1 << width) + 1
     a, b = m * qc, m * qb * u - lv
-    k = ((a * v + b) * v + (m * qa * u - lu) * u + h).astype(out.dtype)
-    s = (2 * a * v + b).astype(out.dtype)
+    k = ((a * v + b) * v + (m * qa * u - lu) * u + h).astype(dtype)
+    s = (2 * a * v + b).astype(dtype)
     start = np.cumsum(size) - size
+    # np.empty, not np.zeros: every element gets a key below
+    out = np.empty(int(size.sum()), dtype=dtype)
     batches = [*np.flatnonzero(np.diff(start // _BATCH_KEYS, prepend=-1)).tolist(), size.size]
     for r0, r1 in zip(batches, batches[1:]):
         lo, hi, n = int(start[r0]), int(start[r1 - 1] + size[r1 - 1]), size[r0:r1]
-        t = np.arange(hi - lo, dtype=out.dtype)
-        t -= np.repeat((start[r0:r1] - lo).astype(out.dtype), n)
+        t = np.arange(hi - lo, dtype=dtype)
+        t -= np.repeat((start[r0:r1] - lo).astype(dtype), n)
         keys = out[lo:hi]
         np.multiply(t, a, out=keys)
         keys += np.repeat(s[r0:r1], n)
         keys *= t
         keys += np.repeat(k[r0:r1], n)
-    return np.bincount(d, weights=size, minlength=rows.shape[1]).astype(np.int64)
+    return out, np.bincount(d, weights=size, minlength=rows.shape[1]).astype(np.int64)
 
 
 def _longest_side_chunk(task: tuple) -> int:
     """Distinct shapes whose longest side is one of the task's d. Keys of one
     h are contiguous and never equal keys of another h, so each h group is
     sorted in place on its own and counts 1 plus its adjacent differences."""
-    q, width, include_degenerate, rows, cells = task
-    # np.empty, not np.zeros: calloc clears a buffer carved from freed heap
-    # memory, making all its cells resident, where about a third get a key
-    keys = np.empty(cells, dtype=_key_dtype(width))
-    ends = np.cumsum(_side_keys(q, width, rows, include_degenerate, keys))
+    q, width, include_degenerate, rows, _ = task
+    keys, counts = _side_keys(q, width, rows, include_degenerate)
+    ends = np.cumsum(counts)
     h = rows[2]
     ends = ends[np.append(h[1:] != h[:-1], True)].tolist()
     for lo, hi in zip([0, *ends], ends):
@@ -427,6 +434,9 @@ def _run_chunks(fn, tasks: list[tuple], workers: int, combine):
     used = min(workers, len(tasks))
     if used <= 1:
         return combine(map(fn, tasks)), 1
+    # imported here, so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=used) as pool:
         return combine(pool.map(fn, tasks, chunksize=1)), used
 

@@ -30,7 +30,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import CostGuardExceeded, PreconditionError
-from .lattice import BoundingBoxClass, _pack_sorted, _sorted_unique, bounding_box_class
+from .lattice import BoundingBoxClass, _pack_sorted, bounding_box_class
 
 Point = tuple[int, int]
 Triangle = frozenset  # of Point, always containing the origin
@@ -40,6 +40,7 @@ ROTATABLE_TRIANGLE_LIMIT = 64
 MINIMALITY_LIMIT = 12
 _INT64_MAX_R = isqrt(2**63 - 1)  # the largest r whose r^2 fits in int64
 _TRIPLE_CELLS = 1 << 16  # (m, n) cells per block of `_triple_arrays`
+_PAIR_BLOCK = 1 << 13  # pairs per block of the passes over the pair table
 
 
 @dataclass(frozen=True, order=True)
@@ -154,9 +155,28 @@ def _rotatable_pairs(n: int) -> np.ndarray:
     t, codes = np.divmod(key[key % n2 != 0], n2)  # the origin is code 0
     at = np.arange(codes.size)
     after = np.searchsorted(t, t, side="right") - 1 - at  # later codes of the triple
-    first = np.repeat(codes * n2, after)
-    first += codes[np.arange(first.size) - np.repeat(np.cumsum(after) - after - at - 1, after)]
-    return _sorted_unique([first])
+    start = np.cumsum(after) - after  # of each code's pairs
+    pairs = np.empty(int(after.sum()), dtype=np.int64)
+    # in blocks of whole codes, so the temporaries stay small beside the table
+    cuts = [*np.flatnonzero(np.diff(start // _PAIR_BLOCK, prepend=-1)).tolist(), codes.size]
+    for i0, i1 in zip(cuts, cuts[1:]):
+        lo, k = int(start[i0]), after[i0:i1]
+        block = pairs[lo : lo + int(k.sum())]
+        block[:] = np.repeat(codes[i0:i1] * n2, k)
+        block += codes[np.arange(block.size) - np.repeat(start[i0:i1] - lo - at[i0:i1] - 1, k)]
+    pairs.sort()
+    # drop the repeats in place: what is kept never passes what is read
+    w, last = 0, -1
+    for lo in range(0, pairs.size, _PAIR_BLOCK):
+        block = pairs[lo : lo + _PAIR_BLOCK]
+        keep = np.empty(block.size, dtype=bool)
+        keep[0] = block[0] != last
+        np.not_equal(block[1:], block[:-1], out=keep[1:])
+        last = block[-1]
+        kept = block[keep]
+        pairs[w : w + kept.size] = kept
+        w += kept.size
+    return pairs[:w]
 
 
 @dataclass(frozen=True)
@@ -180,11 +200,15 @@ def count_rotatable_triangles(n: int) -> RotatableBreakdown:
             f"rotatable-triangle count refused for n={n} > {ROTATABLE_TRIANGLE_LIMIT}"
         )
     pairs = _rotatable_pairs(n)
-    (au, av), (bu, bv) = np.divmod(pairs // (n * n), n), np.divmod(pairs % (n * n), n)
     # In the first quadrant the box is [0, max u] x [0, max v]: the origin is
     # a corner and b, with au <= bu, is on its side u = max u. So {O, a, b} is
-    # three-on-box iff a is on the box too.
-    three = int(np.count_nonzero((au == 0) | (av == 0) | (au == bu) | (av >= bv)))
+    # three-on-box iff a is on the box too. In blocks of the table, so the
+    # coordinate arrays stay small.
+    three = 0
+    for lo in range(0, pairs.size, _PAIR_BLOCK):
+        a, b = np.divmod(pairs[lo : lo + _PAIR_BLOCK], n * n)
+        (au, av), (bu, bv) = np.divmod(a, n), np.divmod(b, n)
+        three += int(np.count_nonzero((au == 0) | (av == 0) | (au == bu) | (av >= bv)))
     return RotatableBreakdown(int(pairs.size), three, int(pairs.size) - three)
 
 

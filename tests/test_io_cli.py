@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import dtl
 from dtl import cli, lattice
 from dtl.cli import run
 from dtl.errors import FormatError
@@ -414,6 +419,37 @@ def test_cli_rejects_a_non_finite_or_negative_size_file(tmp_path, capsys, comman
     assert run(command + [spec]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["pointset", "--file"], ["search", "--k", "1", "--ground"]],
+                         ids=["pointset", "search"])
+@pytest.mark.parametrize("text", [
+    # 1e200 squared raises OverflowError
+    "dtl-pointset v1 float\np 0 0\np 1e200 0\np 2 1\np 0 1\n",
+    # 1e154 squared is finite, but the two squares sum to inf
+    "dtl-pointset v1 float\np 0 0\np 1e154 1e154\np 2 1\np 0 1\n",
+], ids=["square", "sum"])
+def test_cli_rejects_squared_distances_past_the_float_range(tmp_path, capsys, command, text):
+    f = tmp_path / "big.dtl"
+    f.write_text(text)
+    spec = f"file:{f}" if command[0] == "search" else str(f)
+    assert run(command + [spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "overflow" in captured.err
+
+
+def test_cli_import_loads_no_hash_or_pool_module():
+    # hashlib (with OpenSSL) and the process pool cost megabytes at start-up;
+    # only a command with an input file or a pool of workers loads them
+    src = str(Path(dtl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, dtl.cli; print([m for m in ('hashlib', '_hashlib', "
+            "'concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -1,6 +1,8 @@
 """Lattice shape censuses: reductions vs. brute force, determinism, series."""
 
+import concurrent.futures
 import multiprocessing
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -153,7 +155,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(lattice, "ProcessPoolExecutor", FakePool)
+    # `_run_chunks` imports the pool from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return asked
 
 
@@ -210,10 +213,9 @@ def _symmetries(q, n):
 def _kernel_keys(q, width, side, include_degenerate=True):
     """The kernel's keys for one `_longest_sides` row, in cell order, each
     re-packed with the row's h as a third field: (q(c), q(c - d), h)."""
-    cells = (side[4] - side[3] + 1) * (side[6] - side[5] + 1)
-    out = np.empty(cells, dtype=lattice._key_dtype(width))
     rows = np.array(side, dtype=np.int64)[:, None]
-    size = int(lattice._side_keys(q, width, rows, include_degenerate, out)[0])
+    out, sizes = lattice._side_keys(q, width, rows, include_degenerate)
+    size = int(sizes[0])
     return [(k << width) | side[2] for k in out[:size].tolist()]
 
 
@@ -236,9 +238,7 @@ def test_runs_have_exact_ends_at_the_widest_fields(q, deg):
     n = 300
     width = lattice._field_width(n, *q)
     rows = lattice._longest_sides(n, q)[:, -50:]
-    cells = int(((rows[4] - rows[3] + 1) * (rows[6] - rows[5] + 1)).sum())
-    out = np.empty(cells, dtype=lattice._key_dtype(width))
-    sizes = lattice._side_keys(q, width, rows, deg, out)
+    out, sizes = lattice._side_keys(q, width, rows, deg)
     keys = np.split(out[: sizes.sum()], np.cumsum(sizes)[:-1])
     for side, got in zip(rows.T.tolist(), keys):
         qc, qcd = _box_shapes(q, side, deg)
@@ -424,9 +424,9 @@ def test_memory_guard_refuses_before_any_task_runs(monkeypatch):
     tasks = _tasks(64, (1, 1, 1), False)
     boxes = [[(u1 - u0 + 1) * (v1 - v0 + 1) for *_, u0, u1, v0, v1 in t[3].T.tolist()]
              for t in tasks]
-    assert [t[4] for t in tasks] == [sum(b) for b in boxes]  # a task's buffer cells
+    assert [t[4] for t in tasks] == [sum(b) for b in boxes]  # the cells the guard charges
     urows = [sum(u1 - u0 + 1 for *_, u0, u1, _, _ in t[3].T.tolist()) for t in tasks]
-    # uint32 keys: the buffer, two batches, and the temporaries of the u rows
+    # uint32 keys: one per cell, two batches, and the temporaries of the u rows
     assert lattice._key_dtype(tasks[0][1]) is np.uint32
     one = max(4 * (sum(b) + 4 * lattice._BATCH_KEYS) + lattice._ROW_BYTES * r
               for b, r in zip(boxes, urows))
@@ -442,6 +442,37 @@ def test_memory_guard_refuses_before_any_task_runs(monkeypatch):
     monkeypatch.setattr(lattice, "_MEMORY_BUDGET", one)
     assert tri_lattice_census(64, False).distinct == 3_651_133
     assert len(ran) == len(tasks)
+
+
+def test_key_buffer_holds_exactly_the_kept_keys():
+    # For every task, the buffer is as long as the kept c counted over the
+    # whole c boxes with plain numpy, shorter than the cells the guard
+    # charges, and the task's traced peak stays within that charge.
+    q = (1, 1, 1)
+    for task in _tasks(64, q, False):
+        _, width, deg, rows, cells = task
+        keys, counts = lattice._side_keys(q, width, rows, deg)
+        kept = sum(_box_shapes(q, side, deg)[0].size for side in rows.T.tolist())
+        assert keys.size == counts.sum() == kept < cells
+        tracemalloc.start()
+        try:
+            lattice._longest_side_chunk(task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= lattice._task_bytes(task)
+
+
+def test_longest_sides_tests_one_orbit_image_at_a_time():
+    # the orbit images held at once, 16 int64 arrays of (2n - 1)^2 entries,
+    # took 10.5 MB at n = 128
+    tracemalloc.start()
+    try:
+        lattice._longest_sides(128, (1, 0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 def test_census_dispatch():

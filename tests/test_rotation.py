@@ -263,8 +263,9 @@ def test_rotatable_pairs_match_per_triple_reference():
 
 def test_rotatable_pairs_memory_is_bounded_by_the_raw_pairs():
     # the table peaks below 4 times the bytes of its raw per-triple pairs,
-    # and the count, whose classification holds the larger peak, below 6 MiB
+    # and the count, table included, below twice the table's bytes
     raw_bytes = 8 * _pair_sum_bound(40)
+    table_bytes = rotation._rotatable_pairs(40).nbytes
     peaks = []
     for build in (rotation._rotatable_pairs, count_rotatable_triangles):
         tracemalloc.start()
@@ -274,7 +275,7 @@ def test_rotatable_pairs_memory_is_bounded_by_the_raw_pairs():
         finally:
             tracemalloc.stop()
     assert peaks[0] < 4 * raw_bytes
-    assert peaks[1] < 6 << 20
+    assert peaks[1] < 2 * table_bytes
 
 
 def test_count_rotatable_triangles_limit():
