@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DtlError
-from .geometry import DEFAULT_TOLERANCE, TriangleShape, is_degenerate
+from .geometry import DEFAULT_TOLERANCE
 from .lattice import (
     GramForm,
     LatticeKind,
@@ -28,7 +28,7 @@ from .lattice import (
     census_series,
     ratio_fit,
 )
-from .pointset_io import ground_set_from_file
+from .pointset_io import load_point_file
 from .rotation import (
     PythTriple,
     constant_sum,
@@ -119,7 +119,7 @@ def _parse_gram(text: str) -> GramForm:
 
     try:
         a, b, c = (Fraction(t) for t in text.split(","))
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise DtlError(f"bad gram {text!r}; expected a,b,c") from e
     return GramForm(a, b, c)
 
@@ -146,10 +146,10 @@ def _positive_int(text: str) -> int:
 
 
 def _lattice_kind(args) -> LatticeKind:
-    if args.lattice == "square":
-        return LatticeKind.square()
-    if args.lattice == "tri":
-        return LatticeKind.triangular()
+    if args.lattice != "general":
+        if args.gram is not None:
+            raise DtlError(f"census --lattice {args.lattice} does not read --gram")
+        return LatticeKind.square() if args.lattice == "square" else LatticeKind.triangular()
     if args.gram is None:
         raise DtlError("--lattice general requires --gram a,b,c")
     return LatticeKind.general(_parse_gram(args.gram))
@@ -332,7 +332,7 @@ def _ground_set(spec: str, tolerance: float, sink: _Sink):
     kind, _, arg = spec.partition(":")
     if kind == "file":
         sink.note_input(arg)
-        return ground_set_from_file(arg, tolerance)
+        return load_point_file(arg, tolerance)
     if kind in ("ngon", "grid") and arg.isdecimal():
         n = int(arg)
         return make_ngon_ground_set(n, tolerance) if kind == "ngon" else grid_ground_set(n)
@@ -362,12 +362,10 @@ def _cmd_search(args, sink: _Sink) -> dict:
 
 def _cmd_pointset(args, sink: _Sink) -> None:
     sink.note_input(args.file)
-    ground = ground_set_from_file(args.file, args.tolerance)
-    shapes = ground.sorted_sides()
-    if not args.include_degenerate:
-        if ground.mode == "float":
-            raise DtlError("float files have no exact degeneracy test; drop --no-include-degenerate")
-        shapes = [s for s in shapes if not is_degenerate(TriangleShape(*s))]
+    ground = load_point_file(args.file, args.tolerance)
+    if not args.include_degenerate and ground.mode == "float":
+        raise DtlError("float files have no exact degeneracy test; drop --no-include-degenerate")
+    shapes = ground.sorted_sides(args.include_degenerate)
     sink.line(f"distinct_triangles,{len(shapes)}")
     for s in shapes:
         sink.line("shape," + ",".join(map(str, s)))

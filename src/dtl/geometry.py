@@ -126,10 +126,15 @@ class GroundSet:
         key = self.shape_key
         return {key(a, b, c) for a, b, c in combinations(indices, 3)}
 
-    def sorted_sides(self) -> list[tuple]:
-        """Squared sides (s1 <= s2 <= s3) of each distinct shape of the set, ascending."""
+    def sorted_sides(self, include_degenerate: bool = True) -> list[tuple]:
+        """Squared sides (s1 <= s2 <= s3) of each distinct shape of the set,
+        ascending; zero-area shapes are dropped unless `include_degenerate`
+        (an exact test, so meaningless for a float set)."""
         keys = sorted(self.distinct_shapes(range(self.size)))
-        return [tuple(self.values[r] for r in key) for key in keys]
+        sides = [tuple(self.values[r] for r in key) for key in keys]
+        if not include_degenerate:
+            sides = [s for s in sides if not is_degenerate(TriangleShape(*s))]
+        return sides
 
 
 def _from_ranks(label: str, mode: str, n: int, ranks: list[int], values: list) -> GroundSet:
@@ -236,8 +241,7 @@ def distinct_triangle_count(
 ) -> tuple[int, list[TriangleShape]]:
     """Number of distinct triangle shapes over all C(n,3) triples of the set,
     and the shapes in ascending (s1, s2, s3) order."""
-    shapes = [TriangleShape(*s) for s in ground_set_from_points(list(points)).sorted_sides()]
-    if not include_degenerate:
-        shapes = [s for s in shapes if not is_degenerate(s)]
+    ground = ground_set_from_points(list(points))
+    shapes = [TriangleShape(*s) for s in ground.sorted_sides(include_degenerate)]
     return len(shapes), shapes
 

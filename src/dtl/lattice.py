@@ -70,9 +70,6 @@ class GramForm:
         m = lcm(self.a.denominator, self.b.denominator, self.c.denominator)
         return (int(self.a * m), int(self.b * m), int(self.c * m))
 
-    def q(self, du: int, dv: int) -> Fraction:
-        return self.a * du * du + self.b * du * dv + self.c * dv * dv
-
 
 SQUARE_GRAM = GramForm(1, 0, 1)
 TRIANGULAR_GRAM = GramForm(1, 1, 1)
@@ -441,26 +438,15 @@ def _run_chunks(fn, tasks: list[tuple], workers: int, combine):
         return combine(pool.map(fn, tasks, chunksize=1)), used
 
 
-def _census(
-    kind: LatticeKind, n: int, include_degenerate: bool, workers: int,
-    translation_only: bool = False,
-) -> ShapeCensus:
-    """Longest-side census; the translation-only delta-pair census, which
-    merges keys across tasks, when `translation_only`."""
+def _census(kind: LatticeKind, n: int, include_degenerate: bool, workers: int) -> ShapeCensus:
+    """Longest-side census of the n x n region of `kind`."""
     if n < 2:
         raise PreconditionError(f"{kind.name} census needs n >= 2")
     t0 = time.monotonic()
     q = kind.gram.integer_scaled()
-    width = _field_width(n, *q)
-    if translation_only:
-        ndeltas = (2 * n - 1) ** 2
-        tasks = [(n, q, (i, min(i + 64, ndeltas))) for i in range(0, ndeltas, 64)]
-        keys, used = _run_chunks(_delta_chunk, tasks, workers, _union)
-        distinct = keys.size if include_degenerate else _nondegenerate_count(keys, width)
-    else:
-        tasks = _longest_side_tasks(n, q, width, include_degenerate)
-        _check_memory(tasks, workers)
-        distinct, used = _run_chunks(_longest_side_chunk, tasks, workers, sum)
+    tasks = _longest_side_tasks(n, q, _field_width(n, *q), include_degenerate)
+    _check_memory(tasks, workers)
+    distinct, used = _run_chunks(_longest_side_chunk, tasks, workers, sum)
     return ShapeCensus(
         kind=kind.name,
         n=n,
@@ -528,7 +514,22 @@ def general_lattice_census(
     result, so one worker peaks at about 350 MB `ru_maxrss` at triangular
     n = 75 and about 3.1 GB at n = 150.
     """
-    return _census(LatticeKind.general(gram), n, include_degenerate, workers, True)
+    if n < 2:
+        raise PreconditionError("general census needs n >= 2")
+    t0 = time.monotonic()
+    q = gram.integer_scaled()
+    width = _field_width(n, *q)
+    ndeltas = (2 * n - 1) ** 2
+    tasks = [(n, q, (i, min(i + 64, ndeltas))) for i in range(0, ndeltas, 64)]
+    keys, used = _run_chunks(_delta_chunk, tasks, workers, _union)
+    return ShapeCensus(
+        kind="general",
+        n=n,
+        include_degenerate=include_degenerate,
+        distinct=keys.size if include_degenerate else _nondegenerate_count(keys, width),
+        elapsed_ms=(time.monotonic() - t0) * 1000.0,
+        workers=used,
+    )
 
 
 # ---------------------------------------------------------------------------

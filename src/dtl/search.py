@@ -27,31 +27,27 @@ from .qscalar import QScalar
 
 GROUND_SET_LIMIT = 64
 
+_HALF = Fraction(1, 2)
 # Square chord lengths 4 sin^2(pi k / n) of the unit-circle regular n-gon,
-# for the n whose chords live in a single quadratic field.
-_EXACT_NGON = {3, 4, 5, 6, 8, 10, 12}
-
-
-def _chord_sq(n: int, k: int) -> QScalar:
-    """Exact squared distance between n-gon vertices k steps apart."""
-    half = Fraction(1, 2)
-    table = {
-        (3, 1): QScalar(3),
-        (4, 1): QScalar(2), (4, 2): QScalar(4),
-        (5, 1): QScalar(Fraction(5, 2), -half, 5),
-        (5, 2): QScalar(Fraction(5, 2), half, 5),
-        (6, 1): QScalar(1), (6, 2): QScalar(3), (6, 3): QScalar(4),
-        (8, 1): QScalar(2, -1, 2), (8, 2): QScalar(2),
-        (8, 3): QScalar(2, 1, 2), (8, 4): QScalar(4),
-        (10, 1): QScalar(Fraction(3, 2), -half, 5),
-        (10, 2): QScalar(Fraction(5, 2), -half, 5),
-        (10, 3): QScalar(Fraction(3, 2), half, 5),
-        (10, 4): QScalar(Fraction(5, 2), half, 5),
-        (10, 5): QScalar(4),
-        (12, 1): QScalar(2, -1, 3), (12, 2): QScalar(1), (12, 3): QScalar(2),
-        (12, 4): QScalar(3), (12, 5): QScalar(2, 1, 3), (12, 6): QScalar(4),
-    }
-    return table[(n, min(k % n, n - k % n))]
+# keyed (n, k) for 1 <= k <= n/2, for the n whose chords live in a single
+# quadratic field.
+_CHORD_SQ = {
+    (3, 1): QScalar(3),
+    (4, 1): QScalar(2), (4, 2): QScalar(4),
+    (5, 1): QScalar(Fraction(5, 2), -_HALF, 5),
+    (5, 2): QScalar(Fraction(5, 2), _HALF, 5),
+    (6, 1): QScalar(1), (6, 2): QScalar(3), (6, 3): QScalar(4),
+    (8, 1): QScalar(2, -1, 2), (8, 2): QScalar(2),
+    (8, 3): QScalar(2, 1, 2), (8, 4): QScalar(4),
+    (10, 1): QScalar(Fraction(3, 2), -_HALF, 5),
+    (10, 2): QScalar(Fraction(5, 2), -_HALF, 5),
+    (10, 3): QScalar(Fraction(3, 2), _HALF, 5),
+    (10, 4): QScalar(Fraction(5, 2), _HALF, 5),
+    (10, 5): QScalar(4),
+    (12, 1): QScalar(2, -1, 3), (12, 2): QScalar(1), (12, 3): QScalar(2),
+    (12, 4): QScalar(3), (12, 5): QScalar(2, 1, 3), (12, 6): QScalar(4),
+}
+_EXACT_NGON = {n for n, _ in _CHORD_SQ}
 
 
 def ngon_distinct_triangles(n: int) -> int:
@@ -86,8 +82,9 @@ def make_ngon_ground_set(n: int, tolerance: float = DEFAULT_TOLERANCE) -> Ground
     if n < 3:
         raise PreconditionError("n-gon needs n >= 3")
     if n in _EXACT_NGON:
+        # vertices i < j are min(j - i, n - j + i) steps apart around the polygon
         entries = [
-            _chord_sq(n, j - i) for i in range(n) for j in range(i + 1, n)
+            _CHORD_SQ[n, min(j - i, n - j + i)] for i in range(n) for j in range(i + 1, n)
         ]
         return ground_set_from_matrix(n, entries, label=f"ngon:{n}")
     pts = [

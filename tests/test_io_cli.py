@@ -14,15 +14,7 @@ import dtl
 from dtl import cli, lattice
 from dtl.cli import run
 from dtl.errors import FormatError
-from dtl.geometry import QPoint
-from dtl.pointset_io import (
-    DistanceMatrix,
-    ExactPointSet,
-    FloatPointSet,
-    dump_point_file,
-    ground_set_from_file,
-    load_point_file,
-)
+from dtl.pointset_io import load_point_file
 from dtl.qscalar import QScalar
 
 HEX_TEXT = """dtl-pointset v1 D=3
@@ -42,28 +34,22 @@ def hex_file(tmp_path):
     return f
 
 
-def test_load_exact(hex_file):
-    data = load_point_file(hex_file)
-    assert isinstance(data, ExactPointSet)
-    assert data.disc == 3
-    assert len(data.points) == 6
-    assert data.points[1] == QPoint(QScalar(F(1, 2)), QScalar(0, F(1, 2), 3))
-
-
-def test_exact_round_trip(hex_file, tmp_path):
-    data = load_point_file(hex_file)
-    out = tmp_path / "copy.dtl"
-    out.write_text(dump_point_file(data))
-    assert load_point_file(out) == data
-    assert out.read_text() == HEX_TEXT
+def test_load_exact(hex_file, tmp_path, monkeypatch):
+    ground = load_point_file(hex_file)
+    assert (ground.mode, ground.size) == ("coordinates", 6)
+    assert ground.values == (QScalar(1), QScalar(3), QScalar(4))
+    assert ground.label == f"file:{hex_file}"
+    monkeypatch.chdir(tmp_path)  # the label keeps the path as given
+    assert load_point_file("./hex.dtl").label == "file:./hex.dtl"
 
 
 def test_load_float(tmp_path):
     f = tmp_path / "pts.dtl"
     f.write_text("dtl-pointset v1 float\np 0.0 0.0\np 1.5 -2.25\n")
-    data = load_point_file(f)
-    assert isinstance(data, FloatPointSet)
-    assert list(data.points) == [(0.0, 0.0), (1.5, -2.25)]
+    ground = load_point_file(f)
+    assert (ground.mode, ground.size) == ("float", 2)
+    assert ground.values == (1.5**2 + 2.25**2,)
+    assert ground.label == f"file:{f}"
 
 
 def test_load_distance_matrix(tmp_path):
@@ -75,11 +61,12 @@ def test_load_distance_matrix(tmp_path):
             k = min(j - i, 5 - (j - i))
             entries.append(side if k == 1 else diag)
     f.write_text("dtl-distmatrix v1 D=5 n=5\n" + "\n".join(entries) + "\n")
-    data = load_point_file(f)
-    assert isinstance(data, DistanceMatrix)
-    assert data.n == 5
-    ground = ground_set_from_file(f)
-    assert len(ground.distinct_shapes(range(5))) == 2
+    ground = load_point_file(f)
+    assert (ground.mode, ground.size) == ("distance-matrix", 5)
+    s, d = QScalar(F(5, 2), F(-1, 2), 5), QScalar(F(5, 2), F(1, 2), 5)
+    assert ground.values == (s, d)
+    assert ground.label == f"file:{f}"
+    assert ground.sorted_sides() == [(s, s, d), (s, d, d)]
 
 
 @pytest.mark.parametrize(
@@ -488,6 +475,18 @@ def test_cli_general_lattice(capsys):
     ) == 0
     fields = capsys.readouterr().out.splitlines()[1].split(",")
     assert fields[3] == "10"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--lattice", "general", "--gram", "1/0,0,1"], "bad gram '1/0,0,1'; expected a,b,c"),
+    (["--lattice", "general", "--gram", "1,x,1"], "bad gram '1,x,1'; expected a,b,c"),
+    (["--lattice", "square", "--gram", "1,0,1"], "census --lattice square does not read --gram"),
+    (["--lattice", "tri", "--gram", "1,1,1"], "census --lattice tri does not read --gram"),
+])
+def test_cli_census_bad_or_unread_gram_is_an_error(capsys, argv, message):
+    assert run(["census", *argv, "--n", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_cli_version(capsys):
