@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DtlError
-from .geometry import DEFAULT_TOLERANCE
+from .geometry import DEFAULT_TOLERANCE, check_tolerance
 from .lattice import (
     GramForm,
     LatticeKind,
@@ -41,12 +41,12 @@ from .rotation import (
     verify_minimality,
 )
 from .search import (
+    check_ground_size,
     grid_ground_set,
     make_ngon_ground_set,
     max_subset_with_k_shapes,
     ngon_asymptotic_check,
     ngon_distinct_triangles,
-    verify_subset,
 )
 
 CENSUS_COLUMNS = "kind,n,include_degenerate,distinct,ratio,elapsed_ms,workers"
@@ -335,20 +335,19 @@ def _ground_set(spec: str, tolerance: float, sink: _Sink):
         return load_point_file(arg, tolerance)
     if kind in ("ngon", "grid") and arg.isdecimal():
         n = int(arg)
+        check_ground_size(n if kind == "ngon" else n * n)
         return make_ngon_ground_set(n, tolerance) if kind == "ngon" else grid_ground_set(n)
     raise DtlError(f"bad ground spec {spec!r}; expected ngon:<n>, grid:<n>, or file:<path>")
 
 
 def _cmd_search(args, sink: _Sink) -> dict:
+    check_tolerance(args.tolerance)
     ground = _ground_set(args.ground, args.tolerance, sink)
     result = max_subset_with_k_shapes(ground, args.k, args.size_cap)
+    counts = [len(ground.distinct_shapes(w)) for w in result.witnesses]
     witnesses = [
-        {
-            "indices": list(w),
-            "distinct_shapes": len(ground.distinct_shapes(w)),
-            "verified": verify_subset(ground, w, args.k),
-        }
-        for w in result.witnesses
+        {"indices": list(w), "distinct_shapes": c, "verified": c <= args.k}
+        for w, c in zip(result.witnesses, counts)
     ]
     return {
         "op": "search",
@@ -361,6 +360,7 @@ def _cmd_search(args, sink: _Sink) -> dict:
 
 
 def _cmd_pointset(args, sink: _Sink) -> None:
+    check_tolerance(args.tolerance)
     sink.note_input(args.file)
     ground = load_point_file(args.file, args.tolerance)
     if not args.include_degenerate and ground.mode == "float":

@@ -19,7 +19,7 @@ from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .errors import DiscriminantMismatch, PreconditionError
-from .qscalar import QScalar, RatLike, _coerce, _joint_disc
+from .qscalar import QScalar, RatLike, _coerce, _joint_disc, _sign
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,6 @@ class QPoint:
         _joint_disc(x, y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    def __sub__(self, other: "QPoint") -> "QPoint":
-        return QPoint(self.x - other.x, self.y - other.y)
 
     def __add__(self, other: "QPoint") -> "QPoint":
         return QPoint(self.x + other.x, self.y + other.y)
@@ -65,9 +62,6 @@ class TriangleShape:
         object.__setattr__(self, "s1", s1)
         object.__setattr__(self, "s2", s2)
         object.__setattr__(self, "s3", s3)
-
-    def sides(self) -> tuple[QScalar, QScalar, QScalar]:
-        return (self.s1, self.s2, self.s3)
 
     def sixteen_area_sq(self) -> QScalar:
         """2(ab + bc + ca) - a^2 - b^2 - c^2, i.e. 16 * area^2 (Heron on squares)."""
@@ -145,6 +139,18 @@ def _from_ranks(label: str, mode: str, n: int, ranks: list[int], values: list) -
     return GroundSet(label, mode, n, tuple(values), tuple(map(tuple, rows)))
 
 
+def _duplicate_points(n: int, p: int) -> PreconditionError:
+    """The error for two equal points at index p of the upper-triangle,
+    row-major pair order of n points."""
+    i, j = list(combinations(range(n), 2))[p]
+    return PreconditionError(f"duplicate points at indices {i}, {j}")
+
+
+def check_tolerance(tolerance: float) -> None:
+    if not tolerance >= 0:  # also false for nan
+        raise PreconditionError(f"tolerance must be >= 0, got {tolerance}")
+
+
 def ground_set_from_points(points: Sequence[QPoint], label: str = "points") -> GroundSet:
     """Interns the exact squared distances of all point pairs.
 
@@ -170,15 +176,8 @@ def ground_set_from_points(points: Sequence[QPoint], label: str = "points") -> G
             dist.append((a * a + c * c + (b * b + d * d) * disc, 2 * (a * b + c * d)))
     n = len(points)
     if (0, 0) in dist:
-        i, j = list(combinations(range(n), 2))[dist.index((0, 0))]
-        raise PreconditionError(f"duplicate points at indices {i}, {j}")
-
-    def cmp(v, w):
-        # the sign of s + t*sqrt(D): the term of larger magnitude decides it
-        s, t = v[0] - w[0], v[1] - w[1]
-        return (s > 0) - (s < 0) if s * s > t * t * disc else (t > 0) - (t < 0)
-
-    order = sorted(set(dist), key=cmp_to_key(cmp))
+        raise _duplicate_points(n, dist.index((0, 0)))
+    order = sorted(set(dist), key=cmp_to_key(lambda v, w: _sign(v[0] - w[0], v[1] - w[1], disc)))
     rank = {v: r for r, v in enumerate(order)}
     sq = den * den
     values = [QScalar(Fraction(a, sq), Fraction(b, sq), disc) for a, b in order]
@@ -211,8 +210,7 @@ def ground_set_from_floats(
     value exceeds `tolerance`. So values chained by gaps of at most the
     tolerance share a rank, and a tolerance of 0 means exact float equality.
     `values` holds the smallest raw squared distance of each rank."""
-    if not tolerance >= 0:
-        raise PreconditionError(f"tolerance must be >= 0, got {tolerance}")
+    check_tolerance(tolerance)
     if not all(map(math.isfinite, chain.from_iterable(points))):
         raise PreconditionError("float coordinates must be finite")
     try:
@@ -222,6 +220,8 @@ def ground_set_from_floats(
     diam = max(raw, default=0.0)
     if diam == math.inf:  # also a sum, or a difference, that overflowed
         raise PreconditionError("float squared distances overflow the float range")
+    if 0.0 in raw:
+        raise _duplicate_points(len(points), raw.index(0.0))
     if diam <= 0:
         raise PreconditionError("degenerate float point set")
     ranks = [0] * len(raw)

@@ -90,37 +90,10 @@ class QScalar:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QScalar":
-        # (s + t*sqrt(D))^-1 = (s - t*sqrt(D)) / (s^2 - t^2 D); the norm is
-        # nonzero because sqrt(D) is irrational for square-free D > 1.
-        norm = self.rat * self.rat - self.rad * self.rad * self.disc
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return QScalar(self.rat / norm, -self.rad / norm, self.disc)
-
-    def __truediv__(self, other: "QScalar | RatLike") -> "QScalar":
-        return self * _coerce(other).inverse()
-
     # -- sign and order -----------------------------------------------------
 
     def sign(self) -> int:
-        s, t = self.rat, self.rad
-        if t == 0:
-            return (s > 0) - (s < 0)
-        if s == 0:
-            return 1 if t > 0 else -1
-        if s > 0 and t > 0:
-            return 1
-        if s < 0 and t < 0:
-            return -1
-        # Opposite signs: compare s^2 against t^2 * D exactly.
-        lhs, rhs = s * s, t * t * self.disc
-        if lhs == rhs:
-            return 0  # unreachable for square-free disc > 1, kept for safety
-        bigger_is_rat = lhs > rhs
-        if s > 0:
-            return 1 if bigger_is_rat else -1
-        return -1 if bigger_is_rat else 1
+        return _sign(self.rat, self.rad, self.disc)
 
     def is_zero(self) -> bool:
         return self.rat == 0 and self.rad == 0
@@ -165,6 +138,16 @@ class QScalar:
 
     def __repr__(self) -> str:
         return f"QScalar({self.rat!r}, {self.rad!r}, {self.disc})"
+
+
+def _sign(s: RatLike, t: RatLike, disc: int) -> int:
+    """Sign of s + t*sqrt(disc), exactly: the term of larger magnitude decides
+    it, and squaring compares the magnitudes in rational arithmetic. The two
+    never tie for square-free disc > 1 unless s = t = 0; at disc = 1, t must be
+    0, which QScalar and `geometry.ground_set_from_points` both ensure."""
+    if s * s > t * t * disc:
+        return (s > 0) - (s < 0)
+    return (t > 0) - (t < 0)
 
 
 def _coerce(x: "QScalar | RatLike") -> QScalar:

@@ -105,6 +105,13 @@ def grid_ground_set(n: int) -> GroundSet:
 # Branch and bound
 
 
+def check_ground_size(size: int) -> None:
+    """Refuses a search over more than GROUND_SET_LIMIT points; the CLI asks
+    with the size a ground spec names, before the set is built."""
+    if size > GROUND_SET_LIMIT:
+        raise CostGuardExceeded(f"ground set of size {size} exceeds limit {GROUND_SET_LIMIT}")
+
+
 @dataclass
 class SearchResult:
     k: int
@@ -119,56 +126,43 @@ def max_subset_with_k_shapes(
 ) -> SearchResult:
     """Exact maximum-cardinality subsets spanning at most k distinct shapes.
 
-    Depth-first over candidate indices in ascending order with an incremental
-    shape set; branches are cut when the shape budget is blown or when the
-    remaining candidates cannot reach the incumbent. All maximum witnesses
-    are returned, in index order; geometric symmetry is not quotiented.
+    Depth-first over candidate indices in ascending order; each call carries
+    the chosen tuple and the frozenset of shapes it spans. Branches are cut
+    when the shape budget is blown or when the remaining candidates cannot
+    reach the incumbent. All maximum witnesses are returned, in index order;
+    geometric symmetry is not quotiented.
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    if ground.size > GROUND_SET_LIMIT:
-        raise CostGuardExceeded(
-            f"ground set of size {ground.size} exceeds limit {GROUND_SET_LIMIT}"
-        )
+    check_ground_size(ground.size)
     t0 = time.monotonic()
     n = ground.size
     cap = min(size_cap, n) if size_cap is not None else n
     best = 0
     witnesses: list[tuple[int, ...]] = []
     nodes = 0
+    key = ground.shape_key
 
-    chosen: list[int] = []
-    shapes: set = set()
-
-    def dfs(start: int) -> None:
+    def dfs(chosen: tuple[int, ...], shapes: frozenset, start: int) -> None:
         nonlocal best, witnesses, nodes
         size = len(chosen)
         if size > best:
-            best, witnesses = size, [tuple(chosen)]
+            best, witnesses = size, [chosen]
         elif size == best and chosen:
-            witnesses.append(tuple(chosen))
+            witnesses.append(chosen)
         if size >= cap:
             return
         for i in range(start, n):
             if size + (n - i) < best:
                 break  # even taking everything left cannot beat the incumbent
-            added = _new_shapes(ground, chosen, i, shapes)
-            if len(shapes) + len(added) > k:
+            grown = shapes.union([key(a, b, i) for a, b in combinations(chosen, 2)])
+            if len(grown) > k:
                 continue
             nodes += 1
-            chosen.append(i)
-            shapes.update(added)
-            dfs(i + 1)
-            chosen.pop()
-            shapes.difference_update(added)
+            dfs(chosen + (i,), grown, i + 1)
 
-    dfs(0)
+    dfs((), frozenset(), 0)
     return SearchResult(k, best, witnesses, nodes, (time.monotonic() - t0) * 1000.0)
-
-
-def _new_shapes(ground: GroundSet, chosen: list[int], i: int, have: set) -> set:
-    key = ground.shape_key
-    return {key(a, b, i) for a, b in combinations(chosen, 2)} - have
 
 
 def verify_subset(ground: GroundSet, indices: Sequence[int], k: int) -> bool:

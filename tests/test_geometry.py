@@ -145,7 +145,7 @@ def test_distinct_triangle_count_matches_naive_scan(pts, include_degenerate):
         ref = {s for s in ref if not is_degenerate(s)}
     count, shapes = distinct_triangle_count(pts, include_degenerate)
     assert count == len(ref)
-    assert shapes == sorted(ref, key=TriangleShape.sides)
+    assert shapes == sorted(ref, key=lambda s: (s.s1, s.s2, s.s3))
 
 
 def test_distinct_triangle_count_rejects_duplicates():

@@ -426,6 +426,49 @@ def test_cli_rejects_squared_distances_past_the_float_range(tmp_path, capsys, co
     assert "overflow" in captured.err
 
 
+@pytest.mark.parametrize("command", [["pointset", "--file"], ["search", "--k", "1", "--ground"]],
+                         ids=["pointset", "search"])
+@pytest.mark.parametrize("text, pair", [
+    ("dtl-pointset v1 float\np 0 0\np 0 0\np 1 0\np 0 1\n", "0, 1"),
+    # (1, 0) and (0, 1) both repeat; (0, 2) comes first in pair order
+    ("dtl-pointset v1 float\np 1 0\np 0 1\np 1 0\np 0 1\n", "0, 2"),
+    ("dtl-pointset v1 D=1\np 0 0 0 0\np 0 0 0 0\np 1 0 0 0\np 0 0 1 0\n", "0, 1"),
+], ids=["float", "float-two-pairs", "exact"])
+def test_cli_rejects_duplicate_points(tmp_path, capsys, command, text, pair):
+    f = tmp_path / "dup.dtl"
+    f.write_text(text)
+    spec = f"file:{f}" if command[0] == "search" else str(f)
+    assert run(command + [spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: duplicate points at indices {pair}\n"
+
+
+@pytest.mark.parametrize("ground, size", [("grid:9", 81), ("ngon:65", 65)])
+def test_cli_search_refuses_an_oversized_ground_before_building_it(
+    monkeypatch, capsys, ground, size
+):
+    def build(*args, **kwargs):
+        raise AssertionError("ground set built")
+
+    for name in ("ground_set_from_points", "ground_set_from_matrix", "ground_set_from_floats"):
+        monkeypatch.setattr(f"dtl.search.{name}", build)
+    assert run(["search", "--ground", ground, "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ground set of size {size} exceeds limit 64\n"
+    with pytest.raises(AssertionError, match="built"):  # 64 points are within the limit
+        run(["search", "--ground", "grid:8", "--k", "3"])
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_cli_exact_input_rejects_a_bad_tolerance(hex_file, capsys, tol):
+    for argv in (["pointset", "--file", str(hex_file)], ["search", "--ground", "grid:3", "--k", "2"]):
+        assert run([*argv, "--tolerance", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tolerance must be >= 0, got {float(tol)}\n"
+
+
 def test_cli_import_loads_no_hash_or_pool_module():
     # hashlib (with OpenSSL) and the process pool cost megabytes at start-up;
     # only a command with an input file or a pool of workers loads them

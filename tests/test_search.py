@@ -85,6 +85,28 @@ def test_float_chain_within_tolerance_is_one_rank():
     assert len({exact.sq_distance(0, i) for i in range(1, 10)}) == 9
 
 
+SEARCH_ROWS = [
+    # ground, k, max_size, witness count, nodes_explored, first and last witness
+    ("ngon:12", 3, 6, 2, 204, (0, 2, 4, 6, 8, 10), (1, 3, 5, 7, 9, 11)),
+    ("ngon:10", 3, 5, 2, 144, (0, 2, 4, 6, 8), (1, 3, 5, 7, 9)),
+    ("ngon:8", 2, 4, 30, 85, (0, 1, 2, 3), (4, 5, 6, 7)),
+    ("ngon:7", 2, 4, 21, 55, (0, 1, 2, 3), (3, 4, 5, 6)),  # a float ground
+    ("grid:4", 2, 4, 220, 779, (0, 1, 2, 3), (12, 13, 14, 15)),
+    ("grid:5", 3, 5, 22, 3479, (0, 2, 6, 10, 12), (13, 17, 18, 19, 23)),
+]
+
+
+@pytest.mark.parametrize("spec, k, size, count, nodes, first, last", SEARCH_ROWS,
+                         ids=[f"{row[0]}-k{row[1]}" for row in SEARCH_ROWS])
+def test_search_pinned_rows(spec, k, size, count, nodes, first, last):
+    kind, n = spec.split(":")
+    ground = make_ngon_ground_set(int(n)) if kind == "ngon" else grid_ground_set(int(n))
+    result = max_subset_with_k_shapes(ground, k)
+    assert (result.max_size, len(result.witnesses), result.nodes_explored) == (size, count, nodes)
+    assert (result.witnesses[0], result.witnesses[-1]) == (first, last)
+    assert result.witnesses == sorted(result.witnesses)
+
+
 def test_twelve_gon_alternating_hexagon():
     ground = make_ngon_ground_set(12)
     result = max_subset_with_k_shapes(ground, 3)
