@@ -1,16 +1,16 @@
 """Command-line interface.
 
-Tables are emitted as CSV, reports as JSON; `--out` writes the payload to a
-file and drops a run manifest next to it so every artifact is tied to the
-exact parameters that produced it. A table command writes its lines to the
-sink; a report command returns its payload, and `run` times it, writes it and
-exits 1 when it says `"pass": false`.
+Each command is a function from its parsed arguments to its payload: a table
+command returns its CSV lines as a list, a report command returns a dict.
+`run` is the one place that writes output: it renders a list one line per
+item and a dict as JSON with its `elapsed_ms`, prints the text or writes it to
+`--out` with a run manifest beside it (so every artifact is tied to the exact
+parameters that produced it), and exits 1 when a report says `"pass": false`.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -60,50 +60,45 @@ def _bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-class _Sink:
-    """Collects the data payload and writes it (plus a manifest) at the end."""
+def _input_file(args: argparse.Namespace) -> str | None:
+    """The file a command reads: `pointset --file` or a `file:` search ground."""
+    if args.command == "pointset":
+        return args.file
+    if args.command == "search" and args.ground.startswith("file:"):
+        return args.ground[len("file:"):]
+    return None
 
-    def __init__(self, args: argparse.Namespace, command: str):
-        self.out_path: Path | None = Path(args.out) if getattr(args, "out", None) else None
-        self.command = command
-        self.params = {
-            k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None
-        }
-        self.buffer = io.StringIO()
-        self.input_digest: str | None = None
-        self.started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
-    def note_input(self, path: str | Path) -> None:
-        import hashlib  # here, so that only a command with an input file loads OpenSSL
+def _write_out(args: argparse.Namespace, text: str, started_at: str) -> None:
+    """Writes `text` to `--out` and the run manifest next to it. The input
+    file's digest is taken here, so only a manifest loads OpenSSL."""
+    out = Path(args.out)
+    digest = None
+    path = _input_file(args)
+    if path is not None:
+        import hashlib
 
         try:
-            self.input_digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         except OSError as e:
             raise DtlError(f"cannot read input {path}: {e}") from e
-
-    def line(self, text: str) -> None:
-        self.buffer.write(text + "\n")
-
-    def finish(self) -> None:
-        data = self.buffer.getvalue()
-        if self.out_path is None:
-            sys.stdout.write(data)
-            return
-        try:
-            self.out_path.write_text(data)
-            manifest = {
-                "command": self.command,
-                "params": self.params,
-                "artifact_version": __version__,
-                "started_at": self.started_at,
-                "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                "input_digest": self.input_digest,
-                "outputs": [str(self.out_path)],
-            }
-            manifest_path = self.out_path.with_name(self.out_path.name + ".manifest.json")
-            manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-        except OSError as e:
-            raise DtlError(f"cannot write output {self.out_path}: {e}") from e
+    try:
+        out.write_text(text)
+        manifest = {
+            "command": args.command,
+            "params": {
+                k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None
+            },
+            "artifact_version": __version__,
+            "started_at": started_at,
+            "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "input_digest": digest,
+            "outputs": [str(out)],
+        }
+        manifest_path = out.with_name(out.name + ".manifest.json")
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    except OSError as e:
+        raise DtlError(f"cannot write output {out}: {e}") from e
 
 
 def _parse_triple(text: str) -> PythTriple:
@@ -173,7 +168,7 @@ def _census_row(c) -> str:
 # Subcommands
 
 
-def _cmd_census(args, sink: _Sink) -> None:
+def _cmd_census(args) -> list[str]:
     kind = _lattice_kind(args)
     if args.series is None:
         if args.n is None:
@@ -187,15 +182,14 @@ def _cmd_census(args, sink: _Sink) -> None:
         rows = census_series(
             kind, _parse_series(args.series), args.include_degenerate, args.workers
         )
-    sink.line(CENSUS_COLUMNS)
-    for r in rows:
-        sink.line(_census_row(r))
+    lines = [CENSUS_COLUMNS, *map(_census_row, rows)]
     if args.fit:
         fit = ratio_fit(rows)
-        sink.line(f"# fit c={_fmt(fit.c)} d={_fmt(fit.d)} residual={_fmt(fit.residual)}")
+        lines.append(f"# fit c={_fmt(fit.c)} d={_fmt(fit.d)} residual={_fmt(fit.residual)}")
+    return lines
 
 
-def _cmd_rotatable(args, sink: _Sink) -> dict:
+def _cmd_rotatable(args) -> dict:
     if args.count_triangles:
         if args.triple is not None:
             raise DtlError("rotatable takes --triple or --count-triangles, not both")
@@ -217,7 +211,7 @@ def _cmd_rotatable(args, sink: _Sink) -> dict:
     }
 
 
-def _cmd_constant(args, sink: _Sink) -> dict:
+def _cmd_constant(args) -> dict:
     c = constant_sum(args.cutoff)
     return {
         "op": "constant",
@@ -237,7 +231,7 @@ _LEMMA_FLAGS = {
 }
 
 
-def _cmd_verify(args, sink: _Sink) -> dict:
+def _cmd_verify(args) -> dict:
     unread = [
         "--" + flag.replace("_", "-")
         for flag in ("n", "max_r", "m", "triple", "cases_csv")
@@ -315,23 +309,20 @@ def _cmd_verify(args, sink: _Sink) -> dict:
     }
 
 
-def _cmd_ngon(args, sink: _Sink) -> None:
+def _cmd_ngon(args) -> list[str]:
     if args.series:
         if args.n is not None:
             raise DtlError("ngon takes --n or --series, not both")
-        sink.line("n,count,ratio")
-        for n, count, ratio in ngon_asymptotic_check(_parse_series(args.series)):
-            sink.line(f"{n},{count},{_fmt(ratio)}")
-        return
+        rows = ngon_asymptotic_check(_parse_series(args.series))
+        return ["n,count,ratio"] + [f"{n},{count},{_fmt(ratio)}" for n, count, ratio in rows]
     if args.n is None:
         raise DtlError("ngon requires --n or --series")
-    sink.line(f"{args.n},{ngon_distinct_triangles(args.n)}")
+    return [f"{args.n},{ngon_distinct_triangles(args.n)}"]
 
 
-def _ground_set(spec: str, tolerance: float, sink: _Sink):
+def _ground_set(spec: str, tolerance: float):
     kind, _, arg = spec.partition(":")
     if kind == "file":
-        sink.note_input(arg)
         return load_point_file(arg, tolerance)
     if kind in ("ngon", "grid") and arg.isdecimal():
         n = int(arg)
@@ -340,9 +331,9 @@ def _ground_set(spec: str, tolerance: float, sink: _Sink):
     raise DtlError(f"bad ground spec {spec!r}; expected ngon:<n>, grid:<n>, or file:<path>")
 
 
-def _cmd_search(args, sink: _Sink) -> dict:
+def _cmd_search(args) -> dict:
     check_tolerance(args.tolerance)
-    ground = _ground_set(args.ground, args.tolerance, sink)
+    ground = _ground_set(args.ground, args.tolerance)
     result = max_subset_with_k_shapes(ground, args.k, args.size_cap)
     counts = [len(ground.distinct_shapes(w)) for w in result.witnesses]
     witnesses = [
@@ -359,27 +350,22 @@ def _cmd_search(args, sink: _Sink) -> dict:
     }
 
 
-def _cmd_pointset(args, sink: _Sink) -> None:
+def _cmd_pointset(args) -> list[str]:
     check_tolerance(args.tolerance)
-    sink.note_input(args.file)
     ground = load_point_file(args.file, args.tolerance)
     if not args.include_degenerate and ground.mode == "float":
         raise DtlError("float files have no exact degeneracy test; drop --no-include-degenerate")
     shapes = ground.sorted_sides(args.include_degenerate)
-    sink.line(f"distinct_triangles,{len(shapes)}")
-    for s in shapes:
-        sink.line("shape," + ",".join(map(str, s)))
+    return [f"distinct_triangles,{len(shapes)}"] + [
+        "shape," + ",".join(map(str, s)) for s in shapes
+    ]
 
 
-def _cmd_triples(args, sink: _Sink) -> None:
+def _cmd_triples(args) -> list[str]:
     triples = enum_primitive_triples(args.max_r)
     if args.count_only:
-        sink.line(str(len(triples)))
-        return
-    sink.line("p,q,r")
-    for t in triples:
-        sink.line(f"{t.p},{t.q},{t.r}")
-    sink.line(f"# count,{len(triples)}")
+        return [str(len(triples))]
+    return ["p,q,r", *(f"{t.p},{t.q},{t.r}" for t in triples), f"# count,{len(triples)}"]
 
 
 # ---------------------------------------------------------------------------
@@ -474,18 +460,23 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    sink = _Sink(args, args.command)
+    started_at = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     t0 = time.monotonic()
     try:
-        report = args.func(args, sink)
-        if report is not None:
-            report.setdefault("elapsed_ms", (time.monotonic() - t0) * 1000.0)
-            sink.line(json.dumps(report, indent=2))
-        sink.finish()
+        payload = args.func(args)
+        report = isinstance(payload, dict)
+        if report:
+            payload.setdefault("elapsed_ms", (time.monotonic() - t0) * 1000.0)
+        lines = [json.dumps(payload, indent=2)] if report else payload
+        text = "".join(line + "\n" for line in lines)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            _write_out(args, text, started_at)
     except DtlError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    return 1 if report is not None and report.get("pass") is False else 0
+    return 1 if report and payload.get("pass") is False else 0
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ from functools import cmp_to_key
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
-from .errors import DiscriminantMismatch, PreconditionError
+from .errors import CostGuardExceeded, DiscriminantMismatch, PreconditionError
 from .qscalar import QScalar, RatLike, _coerce, _joint_disc, _sign
 
 
@@ -85,6 +85,9 @@ def is_degenerate(s: TriangleShape) -> bool:
 
 
 DEFAULT_TOLERANCE = 1e-9
+# The most triples `GroundSet.sorted_sides` keys: tracemalloc measures up to
+# 145 B per triple when every triple is a new shape, so about 1.45 GB.
+TRIPLE_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,14 @@ class GroundSet:
     def sorted_sides(self, include_degenerate: bool = True) -> list[tuple]:
         """Squared sides (s1 <= s2 <= s3) of each distinct shape of the set,
         ascending; zero-area shapes are dropped unless `include_degenerate`
-        (an exact test, so meaningless for a float set)."""
+        (an exact test, so meaningless for a float set). Raises
+        CostGuardExceeded, before keying any triple, for more than
+        TRIPLE_LIMIT triples."""
+        triples = math.comb(self.size, 3)
+        if triples > TRIPLE_LIMIT:
+            raise CostGuardExceeded(
+                f"{self.size} points span {triples} triples, over the limit of {TRIPLE_LIMIT}"
+            )
         keys = sorted(self.distinct_shapes(range(self.size)))
         sides = [tuple(self.values[r] for r in key) for key in keys]
         if not include_degenerate:

@@ -17,7 +17,6 @@ three sorted squared sides packed into one int64 of equal-width bit fields.
 from __future__ import annotations
 
 import enum
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,8 @@ import numpy as np
 
 from .errors import CostGuardExceeded, PreconditionError
 
-DEFAULT_ORACLE_LIMIT = 8
+# The largest n the all-triples oracle runs at.
+ORACLE_LIMIT = 8
 # Cells of the c boxes (a bound on the shape keys) per census task; fixed, so
 # the task list does not depend on workers, and small, so a task's keys take
 # at most 8 MB.
@@ -425,17 +425,17 @@ def _delta_chunk(task: tuple) -> np.ndarray:
     return _sorted_unique(out)
 
 
-def _run_chunks(fn, tasks: list[tuple], workers: int, combine):
-    """combine(the results of fn over the tasks, in task order), and the
-    number of processes that ran them (1 when serial)."""
+def _run_chunks(tasks: list[tuple], workers: int):
+    """The sum of `_longest_side_chunk` over the tasks, and the number of
+    processes that ran them (1 when serial)."""
     used = min(workers, len(tasks))
     if used <= 1:
-        return combine(map(fn, tasks)), 1
+        return sum(map(_longest_side_chunk, tasks)), 1
     # imported here, so that a serial run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=used) as pool:
-        return combine(pool.map(fn, tasks, chunksize=1)), used
+        return sum(pool.map(_longest_side_chunk, tasks, chunksize=1)), used
 
 
 def _census(kind: LatticeKind, n: int, include_degenerate: bool, workers: int) -> ShapeCensus:
@@ -446,7 +446,7 @@ def _census(kind: LatticeKind, n: int, include_degenerate: bool, workers: int) -
     q = kind.gram.integer_scaled()
     tasks = _longest_side_tasks(n, q, _field_width(n, *q), include_degenerate)
     _check_memory(tasks, workers)
-    distinct, used = _run_chunks(_longest_side_chunk, tasks, workers, sum)
+    distinct, used = _run_chunks(tasks, workers)
     return ShapeCensus(
         kind=kind.name,
         n=n,
@@ -502,7 +502,7 @@ def tri_lattice_census(
 
 
 def general_lattice_census(
-    gram: GramForm, n: int, include_degenerate: bool = True, workers: int = 1
+    gram: GramForm, n: int, include_degenerate: bool = True
 ) -> ShapeCensus:
     """Distinct triangle shapes in the n x n coefficient box of an arbitrary
     positive-definite lattice, via translation reduction over delta pairs.
@@ -510,9 +510,9 @@ def general_lattice_census(
     This path only quotients by translation: it enumerates pairs of deltas
     (d1, d2) whose coordinate span fits in the box, and merges the keys of
     all tasks. It shares no enumeration with `census`, which it cross-checks.
-    It is the small-n cross-check: it has no memory guard and holds its whole
-    result, so one worker peaks at about 350 MB `ru_maxrss` at triangular
-    n = 75 and about 3.1 GB at n = 150.
+    It is the small-n cross-check, run serially in one process: it has no
+    memory guard and holds its whole result, so it peaks at about 350 MB
+    `ru_maxrss` at triangular n = 75 and about 3.1 GB at n = 150.
     """
     if n < 2:
         raise PreconditionError("general census needs n >= 2")
@@ -521,14 +521,14 @@ def general_lattice_census(
     width = _field_width(n, *q)
     ndeltas = (2 * n - 1) ** 2
     tasks = [(n, q, (i, min(i + 64, ndeltas))) for i in range(0, ndeltas, 64)]
-    keys, used = _run_chunks(_delta_chunk, tasks, workers, _union)
+    keys = _union(map(_delta_chunk, tasks))
     return ShapeCensus(
         kind="general",
         n=n,
         include_degenerate=include_degenerate,
         distinct=keys.size if include_degenerate else _nondegenerate_count(keys, width),
         elapsed_ms=(time.monotonic() - t0) * 1000.0,
-        workers=used,
+        workers=1,
     )
 
 
@@ -536,27 +536,13 @@ def general_lattice_census(
 # Brute-force oracle
 
 
-def oracle_limit() -> int:
-    env = os.environ.get("DTL_ORACLE_LIMIT")
-    if not env:
-        return DEFAULT_ORACLE_LIMIT
-    try:
-        return int(env)
-    except ValueError:
-        raise PreconditionError(f"DTL_ORACLE_LIMIT must be an integer, got {env!r}") from None
-
-
 def all_triples_census(
     n: int, kind: LatticeKind, include_degenerate: bool = True
 ) -> ShapeCensus:
     """O(N^6) validation oracle: distinct shapes over all C(n^2, 3) triples,
     with no reduction whatsoever."""
-    limit = oracle_limit()
-    if n > limit:
-        raise CostGuardExceeded(
-            f"all-triples oracle refused for n={n} > {limit} "
-            f"(set DTL_ORACLE_LIMIT to override)"
-        )
+    if n > ORACLE_LIMIT:
+        raise CostGuardExceeded(f"all-triples oracle refused for n={n} > {ORACLE_LIMIT}")
     if n < 2:
         raise PreconditionError("oracle needs n >= 2")
     t0 = time.monotonic()

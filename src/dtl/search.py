@@ -52,15 +52,11 @@ _EXACT_NGON = {n for n, _ in _CHORD_SQ}
 
 def ngon_distinct_triangles(n: int) -> int:
     """Distinct triangles of the regular n-gon: multisets {i,j,k} of positive
-    arc lengths with i + j + k = n."""
+    arc lengths with i + j + k = n, the partitions of n into three parts,
+    whose number is the integer nearest n^2/12."""
     if n < 3:
         raise PreconditionError("n-gon needs n >= 3")
-    count = 0
-    for i in range(1, n // 3 + 1):
-        for j in range(i, (n - i) // 2 + 1):
-            if n - i - j >= j:
-                count += 1
-    return count
+    return (n * n + 6) // 12
 
 
 def ngon_asymptotic_check(n_values: Sequence[int]) -> list[tuple[int, int, float]]:
@@ -114,7 +110,6 @@ def check_ground_size(size: int) -> None:
 
 @dataclass
 class SearchResult:
-    k: int
     max_size: int
     witnesses: list[tuple[int, ...]]
     nodes_explored: int
@@ -162,7 +157,7 @@ def max_subset_with_k_shapes(
             dfs(chosen + (i,), grown, i + 1)
 
     dfs((), frozenset(), 0)
-    return SearchResult(k, best, witnesses, nodes, (time.monotonic() - t0) * 1000.0)
+    return SearchResult(best, witnesses, nodes, (time.monotonic() - t0) * 1000.0)
 
 
 def verify_subset(ground: GroundSet, indices: Sequence[int], k: int) -> bool:

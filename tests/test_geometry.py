@@ -7,8 +7,9 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dtl.errors import DiscriminantMismatch, PreconditionError
+from dtl.errors import CostGuardExceeded, DiscriminantMismatch, PreconditionError
 from dtl.geometry import (
+    GroundSet,
     QPoint,
     TriangleShape,
     distinct_triangle_count,
@@ -40,6 +41,15 @@ def test_shape_sorted_sides():
     s = shape_of(O, QPoint(3, 0), QPoint(0, 4))
     assert (s.s1, s.s2, s.s3) == (QScalar(9), QScalar(16), QScalar(25))
     assert not is_degenerate(s)
+
+
+def test_sorted_sides_triple_limit(monkeypatch):
+    # C(392, 3) = 9,962,680 triples are keyed; C(393, 3) = 10,039,316 are
+    # refused before any triple is keyed
+    monkeypatch.setattr(GroundSet, "distinct_shapes", lambda self, indices: set())
+    assert GroundSet("big", "float", 392, (), ()).sorted_sides() == []
+    with pytest.raises(CostGuardExceeded, match="393 points span 10039316 triples"):
+        GroundSet("big", "float", 393, (), ()).sorted_sides()
 
 
 def test_shape_permutation_invariant():

@@ -14,6 +14,7 @@ import dtl
 from dtl import cli, lattice
 from dtl.cli import run
 from dtl.errors import FormatError
+from dtl.geometry import GroundSet
 from dtl.pointset_io import load_point_file
 from dtl.qscalar import QScalar
 
@@ -480,6 +481,111 @@ def test_cli_import_loads_no_hash_or_pool_module():
                           env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _loaded_hash_modules(argv: list[str]) -> str:
+    """Runs `dtl.cli.run(argv)` in a fresh interpreter; the last stdout line
+    lists the hash modules it loaded."""
+    src = str(Path(dtl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (f"import sys, dtl.cli; assert dtl.cli.run({argv!r}) == 0; "
+            "print([m for m in ('hashlib', '_hashlib') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_census_out_loads_no_hash_module(tmp_path):
+    # the manifest of a command without an input file has no digest to take
+    out = tmp_path / "census.csv"
+    argv = ["census", "--lattice", "square", "--n", "3", "--out", str(out)]
+    assert _loaded_hash_modules(argv) == "[]"
+    manifest = json.loads(out.with_name("census.csv.manifest.json").read_text())
+    assert manifest["input_digest"] is None
+
+
+def test_cli_pointset_without_out_reads_its_file_once(hex_file, monkeypatch, capsys):
+    reads = []
+    for name in ("read_bytes", "read_text"):
+        def counted(self, *args, _real=getattr(Path, name), **kwargs):
+            reads.append(self)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, counted)
+    assert run(["pointset", "--file", str(hex_file)]) == 0
+    assert capsys.readouterr().out.startswith("distinct_triangles,3\n")
+    assert reads == [hex_file]
+    assert _loaded_hash_modules(["pointset", "--file", str(hex_file)]) == "[]"
+
+
+@pytest.mark.parametrize("command", [["pointset", "--file"], ["search", "--k", "2", "--ground"]],
+                         ids=["pointset", "search"])
+def test_cli_manifest_digest_is_the_input_sha256(hex_file, tmp_path, capsys, command):
+    import hashlib
+
+    out = tmp_path / "payload"
+    spec = f"file:{hex_file}" if command[0] == "search" else str(hex_file)
+    assert run([*command, spec, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    manifest = json.loads(out.with_name("payload.manifest.json").read_text())
+    assert manifest["input_digest"] == hashlib.sha256(hex_file.read_bytes()).hexdigest()
+
+
+def test_cli_unreadable_input_names_the_file(tmp_path, capsys):
+    missing = tmp_path / "missing.dtl"
+    for argv in (["pointset", "--file", str(missing)],
+                 ["search", "--k", "2", "--ground", f"file:{missing}"]):
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot read {missing}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def _masked(text: str):
+    """A payload with its run time left out: the `elapsed_ms` of a report or
+    the elapsed_ms column of a census table."""
+    if text.startswith("{"):
+        payload = json.loads(text)
+        del payload["elapsed_ms"]
+        return payload
+    lines = text.splitlines()
+    if lines[0] == cli.CENSUS_COLUMNS:
+        lines[1:] = [line.split(",")[:5] + line.split(",")[6:] for line in lines[1:]]
+    return lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--lattice", "tri", "--series", "3:5", "--workers", "1"],
+    ["ngon", "--series", "3:9:2"],
+    ["triples", "--max-r", "30"],
+    ["pointset", "--file"],
+    ["constant", "--cutoff", "1000"],
+    ["search", "--ground", "grid:3", "--k", "2"],
+], ids=lambda a: a[0])
+def test_cli_stdout_and_out_payload_are_the_same(hex_file, tmp_path, capsys, argv):
+    if argv[-1] == "--file":
+        argv = [*argv, str(hex_file)]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "payload"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert _masked(out.read_text()) == _masked(printed)
+
+
+def test_cli_pointset_refuses_too_many_triples(tmp_path, capsys, monkeypatch):
+    def key_all(self, indices):
+        raise AssertionError("triples keyed")
+
+    monkeypatch.setattr("dtl.geometry.TRIPLE_LIMIT", 3, raising=False)
+    monkeypatch.setattr(GroundSet, "distinct_shapes", key_all)
+    f = tmp_path / "four.dtl"
+    f.write_text(FLOAT_FOUR)
+    assert run(["pointset", "--file", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 4 points span 4 triples, over the limit of 3\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -91,6 +91,12 @@ def test_general_special_agreement(n):
         )
 
 
+def test_general_triangular_pinned_count():
+    # the pinned (1,1,1) count at n = 12; the general path runs serially
+    c = general_lattice_census(TRIANGULAR_GRAM, 12)
+    assert (c.distinct, c.workers) == (4_070, 1)
+
+
 def test_general_rectangular_oracle():
     gram = GramForm(1, 0, 2)
     kind = LatticeKind.general(gram)
@@ -125,15 +131,13 @@ def start_method(request):
 
 
 def test_determinism_across_workers(start_method):
-    # Each input has several tasks (9 for the grid, 20 for the triangle; the
-    # general path has 9 delta chunks), so workers > 1 starts a pool. The
-    # counts are the single-process results.
+    # Each input has several tasks (9 for the grid, 20 for the triangle), so
+    # workers > 1 starts a pool. The counts are the single-process results.
     assert len(_tasks(64, (1, 0, 1), True)) == 9
     assert len(_tasks(64, (1, 1, 1), False)) == 20
     for w in (1, 2, 8):
         assert grid_census(64, workers=w).distinct == 2_933_509
         assert tri_lattice_census(64, False, workers=w).distinct == 3_651_133
-        assert general_lattice_census(TRIANGULAR_GRAM, 12, workers=w).distinct == 4_070
 
 
 @pytest.fixture
@@ -172,17 +176,16 @@ def test_census_reports_processes_used(pool_sizes):
     assert tri_lattice_census(64, workers=24).workers == 20
     # grid_census(5) has one task, so it runs serially
     assert grid_census(5, workers=4).workers == 1
-    assert general_lattice_census(TRIANGULAR_GRAM, 12, workers=2).workers == 2
-    assert pool_sizes == [20, 2]
+    assert pool_sizes == [20]
 
 
 def test_task_list_does_not_depend_on_workers(pool_sizes, monkeypatch):
     seen = []
     real = lattice._run_chunks
 
-    def recording(fn, tasks, workers, combine):
+    def recording(tasks, workers):
         seen.append(list(tasks))
-        return real(fn, tasks, workers, combine)
+        return real(tasks, workers)
 
     monkeypatch.setattr(lattice, "_run_chunks", recording)
     for w in (1, 2, 32):
@@ -512,14 +515,10 @@ def test_census_rejects_small_n():
 
 
 def test_oracle_limit_guard(monkeypatch):
-    monkeypatch.delenv("DTL_ORACLE_LIMIT", raising=False)
     with pytest.raises(CostGuardExceeded):
         all_triples_census(9, SQUARE)
-    monkeypatch.setenv("DTL_ORACLE_LIMIT", "9")
+    monkeypatch.setattr(lattice, "ORACLE_LIMIT", 9)
     assert all_triples_census(9, SQUARE).distinct == grid_census(9).distinct
-    monkeypatch.setenv("DTL_ORACLE_LIMIT", "abc")
-    with pytest.raises(PreconditionError, match="DTL_ORACLE_LIMIT"):
-        all_triples_census(3, SQUARE)
 
 
 def test_series_rows():

@@ -24,9 +24,13 @@ def test_ngon_counts():
 
 
 def test_ngon_partition_formula():
-    # count equals the nearest integer to n²/12
-    for n in range(3, 501):
-        assert ngon_distinct_triangles(n) == round(n * n / 12)
+    # the closed form against a direct count of the partitions i <= j <= k
+    # of n into three positive parts
+    for n in range(3, 301):
+        partitions = sum(
+            1 for i in range(1, n // 3 + 1) for j in range(i, (n - i) // 2 + 1) if n - i - j >= j
+        )
+        assert ngon_distinct_triangles(n) == partitions
 
 
 def test_ngon_rejects_small():
