@@ -11,6 +11,7 @@ parameters that produced it), and exits 1 when a report says `"pass": false`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DtlError
-from .geometry import DEFAULT_TOLERANCE, check_tolerance
+from .geometry import DEFAULT_TOLERANCE, check_tolerance, check_triples
 from .lattice import (
     GramForm,
     LatticeKind,
@@ -323,7 +324,7 @@ def _cmd_ngon(args) -> list[str]:
 def _ground_set(spec: str, tolerance: float):
     kind, _, arg = spec.partition(":")
     if kind == "file":
-        return load_point_file(arg, tolerance)
+        return load_point_file(arg, tolerance, check_ground_size)
     if kind in ("ngon", "grid") and arg.isdecimal():
         n = int(arg)
         check_ground_size(n if kind == "ngon" else n * n)
@@ -352,12 +353,13 @@ def _cmd_search(args) -> dict:
 
 def _cmd_pointset(args) -> list[str]:
     check_tolerance(args.tolerance)
-    ground = load_point_file(args.file, args.tolerance)
+    ground = load_point_file(args.file, args.tolerance, check_triples)
     if not args.include_degenerate and ground.mode == "float":
         raise DtlError("float files have no exact degeneracy test; drop --no-include-degenerate")
     shapes = ground.sorted_sides(args.include_degenerate)
+    text = [str(v) for v in ground.values]
     return [f"distinct_triangles,{len(shapes)}"] + [
-        "shape," + ",".join(map(str, s)) for s in shapes
+        f"shape,{text[a]},{text[b]},{text[c]}" for a, b, c in shapes
     ]
 
 
@@ -372,6 +374,7 @@ def _cmd_triples(args) -> list[str]:
 # Parser
 
 
+@functools.cache  # built on the first run() and reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="dtl", description="Distinct-triangle censuses, searches, and lemma checks."

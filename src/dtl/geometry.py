@@ -18,7 +18,10 @@ from functools import cmp_to_key
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import CostGuardExceeded, DiscriminantMismatch, PreconditionError
+from .lattice import _pack_sorted, _sorted_unique
 from .qscalar import QScalar, RatLike, _coerce, _joint_disc, _sign
 
 
@@ -85,9 +88,13 @@ def is_degenerate(s: TriangleShape) -> bool:
 
 
 DEFAULT_TOLERANCE = 1e-9
-# The most triples `GroundSet.sorted_sides` keys: tracemalloc measures up to
-# 145 B per triple when every triple is a new shape, so about 1.45 GB.
+# The most triples `GroundSet.sorted_sides` keys: at 392 random float points,
+# where every triple is a new shape, tracemalloc measures a peak of 105 B per
+# triple, so about 1.05 GB.
 TRIPLE_LIMIT = 10_000_000
+# (row, pair) entries `_shape_keys` evaluates per block, masked ones included
+# (at least one row against all pairs); it bounds the temporaries.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -123,22 +130,58 @@ class GroundSet:
         key = self.shape_key
         return {key(a, b, c) for a, b, c in combinations(indices, 3)}
 
-    def sorted_sides(self, include_degenerate: bool = True) -> list[tuple]:
-        """Squared sides (s1 <= s2 <= s3) of each distinct shape of the set,
-        ascending; zero-area shapes are dropped unless `include_degenerate`
+    def sorted_sides(self, include_degenerate: bool = True) -> list[tuple[int, int, int]]:
+        """The shape keys (r1 <= r2 <= r3) of all triples of the set, distinct
+        and ascending: `sorted(distinct_shapes(range(size)))`, keyed in numpy.
+        The squared sides of a shape are `values[r1] <= values[r2] <=
+        values[r3]`. Zero-area shapes are dropped unless `include_degenerate`
         (an exact test, so meaningless for a float set). Raises
         CostGuardExceeded, before keying any triple, for more than
         TRIPLE_LIMIT triples."""
-        triples = math.comb(self.size, 3)
-        if triples > TRIPLE_LIMIT:
-            raise CostGuardExceeded(
-                f"{self.size} points span {triples} triples, over the limit of {TRIPLE_LIMIT}"
-            )
-        keys = sorted(self.distinct_shapes(range(self.size)))
-        sides = [tuple(self.values[r] for r in key) for key in keys]
+        check_triples(self.size)
+        width = max(len(self.values) - 1, 1).bit_length()
+        keys = _shape_keys(self._rank, width)
+        mask = (1 << width) - 1
+        # one int object per rank, shared by every key that holds it
+        ranks = np.arange(len(self.values)).astype(object)
+        cols = [ranks[(keys >> shift) & mask].tolist() for shift in (2 * width, width, 0)]
+        shapes = list(zip(*cols))
         if not include_degenerate:
-            sides = [s for s in sides if not is_degenerate(TriangleShape(*s))]
-        return sides
+            v = self.values
+            shapes = [s for s in shapes if not is_degenerate(TriangleShape(*(v[r] for r in s)))]
+        return shapes
+
+
+def check_triples(size: int) -> None:
+    """Refuses a set of `size` points that spans more than TRIPLE_LIMIT
+    triples; a point-set file is checked with its point count, before the
+    set is built."""
+    triples = math.comb(size, 3)
+    if triples > TRIPLE_LIMIT:
+        raise CostGuardExceeded(
+            f"{size} points span {triples} triples, over the limit of {TRIPLE_LIMIT}"
+        )
+
+
+def _shape_keys(rank: tuple, width: int) -> np.ndarray:
+    """Sorted distinct shape keys of all triples i < j < k of a rank table,
+    each sorted rank triple packed `width` bits a rank. Rows i are keyed a
+    block at a time against the pairs j < k with j past the block's first
+    row (those with j <= i masked out), so the temporaries stay at about
+    _BLOCK entries, or one row against all pairs."""
+    n = len(rank)
+    r = np.array(rank, dtype=np.int64).reshape(n, n)
+    j, k = np.triu_indices(n, 1)  # all pairs, ordered by j
+    jk = r[j, k]
+    step = max(1, _BLOCK // max(j.size, 1))
+    blocks = [np.empty(0, dtype=np.int64)]
+    for i0 in range(0, n - 2, step):
+        i = np.arange(i0, min(i0 + step, n - 2))[:, None]
+        s = np.searchsorted(j, i0, side="right")
+        rows = r[i0 : i0 + i.size]
+        keys = _pack_sorted(rows[:, j[s:]], rows[:, k[s:]], jk[s:], width)
+        blocks.append(keys[j[s:] > i])
+    return _sorted_unique(blocks)
 
 
 def _from_ranks(label: str, mode: str, n: int, ranks: list[int], values: list) -> GroundSet:
@@ -252,6 +295,7 @@ def distinct_triangle_count(
     """Number of distinct triangle shapes over all C(n,3) triples of the set,
     and the shapes in ascending (s1, s2, s3) order."""
     ground = ground_set_from_points(list(points))
-    shapes = [TriangleShape(*s) for s in ground.sorted_sides(include_degenerate)]
+    v = ground.values
+    shapes = [TriangleShape(*(v[r] for r in s)) for s in ground.sorted_sides(include_degenerate)]
     return len(shapes), shapes
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .errors import FormatError
 from .qscalar import QScalar, is_square_free
@@ -32,9 +33,16 @@ def _frac(tok: str, path: str, lineno: int) -> Fraction:
         raise FormatError(f"{path}:{lineno}: bad fraction {tok!r}") from e
 
 
-def load_point_file(path: str | Path, tolerance: float = DEFAULT_TOLERANCE) -> GroundSet:
+def load_point_file(
+    path: str | Path,
+    tolerance: float = DEFAULT_TOLERANCE,
+    check_size: Callable[[int], None] = lambda size: None,
+) -> GroundSet:
     """The ground set of a point-set or distance-matrix file, labelled
-    `file:<path>`; `tolerance` is read by float files only."""
+    `file:<path>`; `tolerance` is read by float files only. `check_size` is
+    called with the number of points (the `p` lines, or the matrix `n=`)
+    before any squared distance is computed, so it can refuse an oversized
+    set before it is built."""
     label = f"file:{path}"
     path = Path(path)
     try:
@@ -52,6 +60,7 @@ def load_point_file(path: str | Path, tolerance: float = DEFAULT_TOLERANCE) -> G
     if header[:2] == ["dtl-pointset", "v1"]:
         if len(header) != 3:
             raise FormatError(f"{path}:{head}: malformed pointset header")
+        check_size(len(body))
         if header[2] == "float":
             return ground_set_from_floats(_float_points(body, where), tolerance, label=label)
         disc = _parse_disc(header[2], where, head)
@@ -64,6 +73,7 @@ def load_point_file(path: str | Path, tolerance: float = DEFAULT_TOLERANCE) -> G
             n = int(header[3][2:])
         except ValueError as e:
             raise FormatError(f"{path}:{head}: bad n in header") from e
+        check_size(max(n, 0))  # ground_set_from_matrix refuses a negative n
         return ground_set_from_matrix(n, _matrix_entries(disc, n, body, where), label=label)
     raise FormatError(f"{path}:{head}: unknown header {text!r}")
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from dtl.geometry import (
     QPoint,
     TriangleShape,
     distinct_triangle_count,
+    ground_set_from_floats,
     ground_set_from_matrix,
     ground_set_from_points,
     is_degenerate,
@@ -20,6 +22,7 @@ from dtl.geometry import (
     sq_dist,
 )
 from dtl.qscalar import QScalar
+from dtl.search import make_ngon_ground_set
 
 O = QPoint(0, 0)
 HALF = QScalar(F(1, 2))
@@ -46,7 +49,7 @@ def test_shape_sorted_sides():
 def test_sorted_sides_triple_limit(monkeypatch):
     # C(392, 3) = 9,962,680 triples are keyed; C(393, 3) = 10,039,316 are
     # refused before any triple is keyed
-    monkeypatch.setattr(GroundSet, "distinct_shapes", lambda self, indices: set())
+    monkeypatch.setattr("dtl.geometry._shape_keys", lambda rank, width: np.empty(0, np.int64))
     assert GroundSet("big", "float", 392, (), ()).sorted_sides() == []
     with pytest.raises(CostGuardExceeded, match="393 points span 10039316 triples"):
         GroundSet("big", "float", 393, (), ()).sorted_sides()
@@ -156,6 +159,56 @@ def test_distinct_triangle_count_matches_naive_scan(pts, include_degenerate):
     count, shapes = distinct_triangle_count(pts, include_degenerate)
     assert count == len(ref)
     assert shapes == sorted(ref, key=lambda s: (s.s1, s.s2, s.s3))
+
+
+def _sides(ground, keys):
+    return [tuple(ground.values[r] for r in key) for key in keys]
+
+
+def _cross(a, b, c):
+    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+
+
+@given(st.lists(q3_points, max_size=9, unique=True), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sorted_sides_matches_distinct_shapes_exact(pts, include_degenerate):
+    # The plain-Python reference, with collinearity tested on the points.
+    ground = ground_set_from_points(pts)
+    ref = sorted(ground.distinct_shapes(range(len(pts))))
+    if not include_degenerate:
+        flat = {ground.shape_key(a, b, c) for a, b, c in combinations(range(len(pts)), 3)
+                if _cross(pts[a], pts[b], pts[c]).is_zero()}
+        ref = [key for key in ref if key not in flat]
+    assert _sides(ground, ground.sorted_sides(include_degenerate)) == _sides(ground, ref)
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_sorted_sides_matches_distinct_shapes_matrix(n):
+    ground = make_ngon_ground_set(n)  # a Q(sqrt 5) distance matrix
+    ref = _sides(ground, sorted(ground.distinct_shapes(range(n))))
+    assert len(ref) == (n * n + 6) // 12
+    for include_degenerate in (True, False):  # no three vertices are collinear
+        assert _sides(ground, ground.sorted_sides(include_degenerate)) == ref
+
+
+@given(
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=2, max_size=12,
+             unique=True),
+    st.sampled_from([0.0, 1e-9, 0.01, 0.2]),
+    st.floats(0.1, 10.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_sorted_sides_matches_distinct_shapes_float(pts, tolerance, scale):
+    ground = ground_set_from_floats([(x * scale, y / 3) for x, y in pts], tolerance)
+    ref = sorted(ground.distinct_shapes(range(len(pts))))
+    assert _sides(ground, ground.sorted_sides()) == _sides(ground, ref)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_sorted_sides_of_small_sets(n):
+    ground = ground_set_from_points(HEXAGON[:n])
+    assert ground.sorted_sides() == sorted(ground.distinct_shapes(range(n)))
+    assert len(ground.sorted_sides()) == (n == 3)
 
 
 def test_distinct_triangle_count_rejects_duplicates():

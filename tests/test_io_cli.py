@@ -14,7 +14,6 @@ import dtl
 from dtl import cli, lattice
 from dtl.cli import run
 from dtl.errors import FormatError
-from dtl.geometry import GroundSet
 from dtl.pointset_io import load_point_file
 from dtl.qscalar import QScalar
 
@@ -67,7 +66,7 @@ def test_load_distance_matrix(tmp_path):
     s, d = QScalar(F(5, 2), F(-1, 2), 5), QScalar(F(5, 2), F(1, 2), 5)
     assert ground.values == (s, d)
     assert ground.label == f"file:{f}"
-    assert ground.sorted_sides() == [(s, s, d), (s, d, d)]
+    assert ground.sorted_sides() == [(0, 0, 1), (0, 1, 1)]  # (s, s, d) and (s, d, d)
 
 
 @pytest.mark.parametrize(
@@ -483,17 +482,22 @@ def test_cli_import_loads_no_hash_or_pool_module():
     assert proc.stdout.strip() == "[]"
 
 
-def _loaded_hash_modules(argv: list[str]) -> str:
-    """Runs `dtl.cli.run(argv)` in a fresh interpreter; the last stdout line
-    lists the hash modules it loaded."""
+def _last_line_of(code: str, cwd=None) -> str:
+    """Runs `code` in a fresh interpreter that imports this checkout's dtl;
+    returns the last line it prints."""
     src = str(Path(dtl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (f"import sys, dtl.cli; assert dtl.cli.run({argv!r}) == 0; "
-            "print([m for m in ('hashlib', '_hashlib') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
+
+
+def _loaded_hash_modules(argv: list[str]) -> str:
+    """Runs `dtl.cli.run(argv)` in a fresh interpreter and lists the hash
+    modules it loaded."""
+    return _last_line_of(f"import sys, dtl.cli; assert dtl.cli.run({argv!r}) == 0; "
+                         "print([m for m in ('hashlib', '_hashlib') if m in sys.modules])")
 
 
 def test_cli_census_out_loads_no_hash_module(tmp_path):
@@ -575,17 +579,80 @@ def test_cli_stdout_and_out_payload_are_the_same(hex_file, tmp_path, capsys, arg
 
 
 def test_cli_pointset_refuses_too_many_triples(tmp_path, capsys, monkeypatch):
-    def key_all(self, indices):
+    def key_all(rank, width):
         raise AssertionError("triples keyed")
 
     monkeypatch.setattr("dtl.geometry.TRIPLE_LIMIT", 3, raising=False)
-    monkeypatch.setattr(GroundSet, "distinct_shapes", key_all)
+    monkeypatch.setattr("dtl.geometry._shape_keys", key_all)
     f = tmp_path / "four.dtl"
     f.write_text(FLOAT_FOUR)
     assert run(["pointset", "--file", str(f)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: 4 points span 4 triples, over the limit of 3\n"
+
+
+def _lines(header: str, n: int, line: str) -> str:
+    return header + "\n" + "".join(line.format(i=i) for i in range(n))
+
+
+@pytest.mark.parametrize("command, text, err", [
+    (["search", "--k", "3", "--ground"], _lines("dtl-pointset v1 float", 65, "p {i} 0.5\n"),
+     "ground set of size 65 exceeds limit 64"),
+    (["search", "--k", "3", "--ground"], _lines("dtl-pointset v1 D=2", 65, "p {i} 0 0 1\n"),
+     "ground set of size 65 exceeds limit 64"),
+    (["search", "--k", "3", "--ground"],
+     _lines("dtl-distmatrix v1 D=1 n=65", 65 * 64 // 2, "1 0\n"),
+     "ground set of size 65 exceeds limit 64"),
+    (["pointset", "--file"], _lines("dtl-pointset v1 float", 393, "p {i} 0.5\n"),
+     "393 points span 10039316 triples, over the limit of 10000000"),
+    (["pointset", "--file"], _lines("dtl-distmatrix v1 D=1 n=393", 0, ""),
+     "393 points span 10039316 triples, over the limit of 10000000"),
+], ids=["search-float", "search-exact", "search-matrix", "pointset-float", "pointset-matrix"])
+def test_cli_refuses_an_oversized_file_before_building_it(
+    tmp_path, capsys, monkeypatch, command, text, err
+):
+    def build(*args, **kwargs):
+        raise AssertionError("ground set built")
+
+    for name in ("ground_set_from_points", "ground_set_from_matrix", "ground_set_from_floats"):
+        monkeypatch.setattr(f"dtl.pointset_io.{name}", build)
+    f = tmp_path / "big.dtl"
+    f.write_text(text)
+    spec = f"file:{f}" if command[0] == "search" else str(f)
+    assert run([*command, spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {err}\n"
+
+
+def test_cli_parser_is_built_once_and_keeps_no_flags(tmp_path, capsys):
+    f = tmp_path / "m.dtl"
+    f.write_text(MATRIX_FOUR)
+    assert run(["pointset", "--file", str(f), "--no-include-degenerate"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "distinct_triangles,3"
+    assert run(["pointset", "--file", str(f), "--no-such-flag"]) == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert run(["pointset", "--file", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["distinct_triangles,4", "shape,1,1,2"]
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_paper_checks_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 16 ms once per process
+    f = tmp_path / "tri.dtl"
+    f.write_text(_lines("dtl-pointset v1 D=3", 4,
+                        "p {i} 0 0 0\n") + "p 1/2 0 0 1/2\np 3/2 0 0 1/2\n")
+    commands = [
+        ["constant", "--cutoff", "1000000"],
+        ["rotatable", "--count-triangles", "--n", "40"],
+        ["verify", "--lemma", "3.1", "--n", "12"],
+        ["pointset", "--file", str(f)],
+        ["search", "--ground", "ngon:12", "--k", "3"],
+    ]
+    code = (f"import sys, dtl.cli\nfor argv in {commands!r}:\n"
+            "    assert dtl.cli.run([*argv, '--out', argv[0] + '.out']) == 0, argv\n"
+            "print('numpy.ma' in sys.modules)")
+    assert _last_line_of(code, cwd=tmp_path) == "False"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
