@@ -147,9 +147,19 @@ class GroundSet:
         cols = [ranks[(keys >> shift) & mask].tolist() for shift in (2 * width, width, 0)]
         shapes = list(zip(*cols))
         if not include_degenerate:
-            v = self.values
-            shapes = [s for s in shapes if not is_degenerate(TriangleShape(*(v[r] for r in s)))]
+            disc, _, v = _integer_pairs([_coerce(x) for x in self.values])
+            shapes = [s for s in shapes if not _zero_area(*(v[r] for r in s), disc)]
         return shapes
+
+
+def _zero_area(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int], disc: int) -> bool:
+    """Whether squared sides a, b, c, each an integer pair (s, t) meaning
+    s + t*sqrt(disc), bound zero area: 16 area^2 = 4ab - (a + b - c)^2, and
+    an element of Z[sqrt(disc)] is zero iff both its parts are."""
+    (a0, a1), (b0, b1) = a, b
+    d0, d1 = a0 + b0 - c[0], a1 + b1 - c[1]
+    return (4 * (a0 * b0 + a1 * b1 * disc) == d0 * d0 + d1 * d1 * disc
+            and 2 * (a0 * b1 + a1 * b0) == d0 * d1)
 
 
 def check_triples(size: int) -> None:
@@ -204,6 +214,19 @@ def check_tolerance(tolerance: float) -> None:
         raise PreconditionError(f"tolerance must be >= 0, got {tolerance}")
 
 
+def _integer_pairs(scalars: Sequence[QScalar]) -> tuple[int, int, list[tuple[int, int]]]:
+    """The field Q(sqrt(D)) and the common denominator L of the scalars'
+    parts, and each scalar as the integer pair (s, t) meaning
+    (s + t*sqrt(D))/L. Raises DiscriminantMismatch for scalars from two
+    fields."""
+    discs = sorted({c.disc for c in scalars} - {1})
+    if len(discs) > 1:
+        raise DiscriminantMismatch(f"cannot combine sqrt({discs[0]}) with sqrt({discs[1]})")
+    den = math.lcm(*(f.denominator for c in scalars for f in (c.rat, c.rad)))
+    scale = lambda f: f.numerator * (den // f.denominator)
+    return discs[0] if discs else 1, den, [(scale(c.rat), scale(c.rad)) for c in scalars]
+
+
 def ground_set_from_points(points: Sequence[QPoint], label: str = "points") -> GroundSet:
     """Interns the exact squared distances of all point pairs.
 
@@ -215,13 +238,8 @@ def ground_set_from_points(points: Sequence[QPoint], label: str = "points") -> G
     tests, and a QScalar is built only for each distinct value.
     Raises DiscriminantMismatch for points from two fields and
     PreconditionError naming the first pair, in pair order, of equal points."""
-    discs = sorted({c.disc for p in points for c in (p.x, p.y)} - {1})
-    if len(discs) > 1:
-        raise DiscriminantMismatch(f"cannot combine sqrt({discs[0]}) with sqrt({discs[1]})")
-    disc = discs[0] if discs else 1
-    parts = [(p.x.rat, p.x.rad, p.y.rat, p.y.rad) for p in points]
-    den = math.lcm(*(f.denominator for fs in parts for f in fs))
-    scaled = [[f.numerator * (den // f.denominator) for f in fs] for fs in parts]
+    disc, den, pairs = _integer_pairs([c for p in points for c in (p.x, p.y)])
+    scaled = [x + y for x, y in zip(pairs[::2], pairs[1::2])]
     dist = []
     for i, (xs, xt, ys, yt) in enumerate(scaled):
         for us, ut, vs, vt in scaled[i + 1 :]:

@@ -9,8 +9,11 @@ is rotatable by that angle iff both coordinates of the image are integers,
 which collapses to the single congruence a = c*b (mod r) with c = p * q^-1.
 
 Every triple comes from one numpy generator over coprime m > n >= 1 of
-opposite parity (`_triple_arrays`), which checks what `PythTriple` checks on
-whole arrays. Every rotatable pair comes from one table
+opposite parity (`_triple_arrays`): each m gets its range of n, and
+coprimality is read from a table that a prime-stride sieve clears, with no
+gcd per (m, n). It checks what `PythTriple` checks on whole arrays, so its
+Euclid gcd(p, q) = 1 assertion cross-checks the sieve. Every rotatable pair
+comes from one table
 (`_rotatable_pairs`), built for all triples at once: each triple's
 rotatable points are encoded as integers and paired, and the pairs are
 deduplicated by one sort. `count_rotatable_triangles` classifies the table
@@ -61,25 +64,56 @@ class PythTriple:
 def _triple_arrays(max_r: int):
     """Primitive triples with hypotenuse <= max_r, one leg order, in blocks
     of consecutive m: int64 arrays p = m^2 - n^2, q = 2mn and r = m^2 + n^2
-    over the coprime m > n >= 1 of opposite parity. A block spans at most
-    _TRIPLE_CELLS (m, n) cells. Refuses a max_r whose r^2 would overflow
-    int64."""
+    over the coprime m > n >= 1 of opposite parity, ordered by m, then n.
+    A block spans at most _TRIPLE_CELLS (m, n) cells. Refuses a max_r whose
+    r^2 would overflow int64.
+
+    Each m runs over its own n = 1 + m % 2, 3 + m % 2, ... up to
+    min(m - 1, isqrt(max_r - m^2)). Coprimality comes from a boolean table
+    over the block's (m, n) rectangle, cleared at m = n = 0 (mod f) for each
+    odd prime f with a multiple among the block's m (a common factor of
+    m > n is at most m / 2, and 2 never divides both). The gcd(p, q) = 1
+    assertion is Euclid's, so it checks the table independently."""
     if max_r > _INT64_MAX_R:
         raise CostGuardExceeded(f"triples refused for max_r={max_r} > {_INT64_MAX_R}")
     m_end = isqrt(max_r - 1) + 1  # m runs while m^2 + 1 <= max_r
+    primes = _odd_primes(m_end // 2)
     lo = 2
     while lo < m_end:
         hi = min(m_end, max(lo + 1, isqrt(lo * lo + _TRIPLE_CELLS)))
-        m, n = np.ogrid[lo:hi, 1:hi]
-        m, n = np.nonzero((n < m) & ((m - n) % 2 == 1) & (m * m + n * n <= max_r))
-        m, n = m + lo, n + 1
-        coprime = np.gcd(m, n) == 1
+        rows = np.arange(lo, hi)
+        rest = max_r - rows * rows  # >= 1
+        top = np.sqrt(rest).astype(np.int64)  # off by at most one: made exact
+        top -= top * top > rest
+        top += (top + 1) * (top + 1) <= rest
+        first = 1 + rows % 2
+        count = (np.minimum(rows - 1, top) - first) // 2 + 1  # >= 0
+        start = np.cumsum(count) - count
+        m = np.repeat(rows, count)
+        n = np.repeat(first - 2 * start, count) + 2 * np.arange(m.size)
+        table = np.ones((hi - lo, hi), dtype=bool)
+        for f in primes[(-lo) % primes < hi - lo].tolist():
+            table[-lo % f :: f, ::f] = False
+        coprime = table[m - lo, n]
         m, n = m[coprime], n[coprime]
         p, q, r = m * m - n * n, 2 * m * n, m * m + n * n
         assert (p > 0).all() and (q > 0).all()
-        assert (p * p + q * q == r * r).all() and (np.gcd(p, q) == 1).all()
+        # p, q < r <= _INT64_MAX_R < 2^32
+        assert (p * p + q * q == r * r).all()
+        assert (np.gcd(p.astype(np.uint32), q.astype(np.uint32)) == 1).all()
         yield p, q, r
         lo = hi
+
+
+def _odd_primes(limit: int) -> np.ndarray:
+    """The odd primes <= limit, ascending, by the sieve of Eratosthenes."""
+    odd = np.ones(limit + 1, dtype=bool)
+    odd[:3] = False
+    odd[4::2] = False
+    for f in range(3, isqrt(limit) + 1, 2):
+        if odd[f]:
+            odd[f * f :: 2 * f] = False
+    return np.flatnonzero(odd)
 
 
 def enum_primitive_triples(max_r: int) -> list[PythTriple]:

@@ -13,6 +13,8 @@ from dtl.geometry import (
     GroundSet,
     QPoint,
     TriangleShape,
+    _integer_pairs,
+    _zero_area,
     distinct_triangle_count,
     ground_set_from_floats,
     ground_set_from_matrix,
@@ -21,7 +23,7 @@ from dtl.geometry import (
     shape_of,
     sq_dist,
 )
-from dtl.qscalar import QScalar
+from dtl.qscalar import QScalar, _coerce
 from dtl.search import make_ngon_ground_set
 
 O = QPoint(0, 0)
@@ -202,6 +204,47 @@ def test_sorted_sides_matches_distinct_shapes_float(pts, tolerance, scale):
     ground = ground_set_from_floats([(x * scale, y / 3) for x, y in pts], tolerance)
     ref = sorted(ground.distinct_shapes(range(len(pts))))
     assert _sides(ground, ground.sorted_sides()) == _sides(ground, ref)
+
+
+def _degenerate_shapes(ground):
+    """The zero-area shapes of a ground set, by the integer-pair test, after
+    checking that test against `is_degenerate` on every shape."""
+    v = ground.values
+    disc, _, pairs = _integer_pairs([_coerce(x) for x in v])  # float sets: exact rationals
+    flat = []
+    for s in ground.sorted_sides():
+        zero = _zero_area(*(pairs[r] for r in s), disc)
+        assert zero == is_degenerate(TriangleShape(*(v[r] for r in s)))
+        if zero:
+            flat.append(s)
+    assert ground.sorted_sides(False) == [s for s in ground.sorted_sides() if s not in flat]
+    return flat
+
+
+@given(st.lists(q3_points, max_size=9, unique=True))
+@settings(max_examples=150, deadline=None)
+def test_zero_area_matches_is_degenerate_q3(pts):
+    _degenerate_shapes(ground_set_from_points(pts))
+
+
+# Each set is built inside the test, so a fault in a builder fails its case
+# instead of the collection of the whole module.
+@pytest.mark.parametrize("build, flat", [
+    (lambda: ground_set_from_points(HEXAGON + [O]), 1),  # a diagonal through the centre
+    (lambda: ground_set_from_points([QPoint(u, F(v, 3)) for u in range(4) for v in range(4)]), 6),
+    (lambda: ground_set_from_floats([(u, v) for u in range(3) for v in range(3)]), 2),
+    (lambda: make_ngon_ground_set(5), 0),  # Q(sqrt 5) distance matrices
+    (lambda: make_ngon_ground_set(10), 0),
+    # sides 1, (1 + sqrt 5)/2 and their sum on one line
+    (lambda: ground_set_from_matrix(3, [QScalar(1), QScalar(F(3, 2), F(1, 2), 5),
+                                        QScalar(F(7, 2), F(3, 2), 5)]), 1),
+    # 16 area^2 = (16/9) sqrt 5: its rational part alone is zero
+    (lambda: ground_set_from_matrix(3, [QScalar(1), QScalar(1), QScalar(F(2, 3), F(2, 3), 5)]),
+     0),
+], ids=["hexagon-centre", "grid4-thirds", "float-grid3", "ngon5", "ngon10", "collinear-q5",
+        "rational-part-zero"])
+def test_zero_area_matches_is_degenerate(build, flat):
+    assert len(_degenerate_shapes(build())) == flat
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])

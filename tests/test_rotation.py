@@ -78,6 +78,34 @@ def test_enum_matches_plain_reference():
         assert got == [t for t in ref if t[2] <= max_r]
 
 
+# Hypotenuse bounds up to about 3,000 that include m^2 + 1, the first cell of
+# row m, and m^2 + (m - 1)^2, its last, so rows start and end at the bound.
+SPLIT_MAX_R = sorted({*range(5, 40), *range(40, 3001, 29), 3041, 3042,
+                      *(m * m + 1 for m in range(2, 55)),
+                      *(m * m + (m - 1) ** 2 for m in range(2, 39))})
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64])
+def test_triple_blocks_match_row_major_reference(monkeypatch, cells):
+    # the gcd(p, q) assertion runs on uint32, which needs p, q < r < 2^32
+    assert _INT64_MAX_R < 2**32
+    # small blocks split the rows that the default block size keeps together
+    monkeypatch.setattr(rotation, "_TRIPLE_CELLS", cells)
+    ref = []  # one leg order, row-major in (m, n), in plain Python
+    for m in range(2, math.isqrt(3042) + 1):
+        for n in range(1, m):
+            if (m - n) % 2 and math.gcd(m, n) == 1 and m * m + n * n <= 3042:
+                ref.append((m * m - n * n, 2 * m * n, m * m + n * n))
+    for max_r in SPLIT_MAX_R:
+        blocks = [[a.tolist() for a in block] for block in rotation._triple_arrays(max_r)]
+        got = [t for p, q, r in blocks for t in zip(p, q, r)]
+        assert got == [t for t in ref if t[2] <= max_r], max_r
+        # blocks hold consecutive m: m^2 = (p + r) / 2
+        ms = [[math.isqrt((p + r) // 2) for p, _, r in zip(*b)] for b in blocks]
+        ms = [b for b in ms if b]
+        assert all(a[-1] < b[0] for a, b in zip(ms, ms[1:]))
+
+
 @pytest.mark.parametrize("build", [enum_primitive_triples, constant_sum])
 def test_triples_refuse_int64_overflow(build):
     # r^2 of a hypotenuse above isqrt(2^63 - 1) = 3,037,000,499 overflows int64
@@ -296,6 +324,7 @@ def test_constant_sum_cutoff_guard():
     (12345, 0.056827408462504746),
     (10**5, 0.05683871783246837),
     (10**6, 0.05684014989718507),
+    (10**7, 0.05684029315095895),
 ])
 def test_constant_sum_partial_is_exact(cutoff, partial):
     # the correctly rounded sum over both leg orders, bit for bit
