@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import DtlError
+from .errors import CostGuardExceeded, DtlError
 from .geometry import DEFAULT_TOLERANCE, check_tolerance, check_triples
 from .lattice import (
     GramForm,
@@ -51,6 +51,8 @@ from .search import (
 )
 
 CENSUS_COLUMNS = "kind,n,include_degenerate,distinct,ratio,elapsed_ms,workers"
+# The most values a --series may hold; checked before the list is built.
+SERIES_LIMIT = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -131,6 +133,11 @@ def _parse_series(text: str) -> list[int]:
         raise DtlError(f"bad series {text!r}") from e
     if step < 1 or hi < lo:
         raise DtlError(f"bad series {text!r}")
+    count = (hi - lo) // step + 1
+    if count > SERIES_LIMIT:
+        raise CostGuardExceeded(
+            f"series {text!r} holds {count} values, over the limit of {SERIES_LIMIT}"
+        )
     return list(range(lo, hi + 1, step))
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CostGuardExceeded, DiscriminantMismatch, PreconditionError
-from .lattice import _pack_sorted, _sorted_unique
+from .keys import key_width, rank_keys, unpack
 from .qscalar import QScalar, RatLike, _coerce, _joint_disc, _sign
 
 
@@ -92,9 +92,6 @@ DEFAULT_TOLERANCE = 1e-9
 # where every triple is a new shape, tracemalloc measures a peak of 105 B per
 # triple, so about 1.05 GB.
 TRIPLE_LIMIT = 10_000_000
-# (row, pair) entries `_shape_keys` evaluates per block, masked ones included
-# (at least one row against all pairs); it bounds the temporaries.
-_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -139,13 +136,11 @@ class GroundSet:
         CostGuardExceeded, before keying any triple, for more than
         TRIPLE_LIMIT triples."""
         check_triples(self.size)
-        width = max(len(self.values) - 1, 1).bit_length()
-        keys = _shape_keys(self._rank, width)
-        mask = (1 << width) - 1
+        width = key_width(len(self.values) - 1)
+        keys = rank_keys(self._rank, width)
         # one int object per rank, shared by every key that holds it
         ranks = np.arange(len(self.values)).astype(object)
-        cols = [ranks[(keys >> shift) & mask].tolist() for shift in (2 * width, width, 0)]
-        shapes = list(zip(*cols))
+        shapes = list(zip(*(ranks[f].tolist() for f in unpack(keys, width))))
         if not include_degenerate:
             disc, _, v = _integer_pairs([_coerce(x) for x in self.values])
             shapes = [s for s in shapes if not _zero_area(*(v[r] for r in s), disc)]
@@ -171,27 +166,6 @@ def check_triples(size: int) -> None:
         raise CostGuardExceeded(
             f"{size} points span {triples} triples, over the limit of {TRIPLE_LIMIT}"
         )
-
-
-def _shape_keys(rank: tuple, width: int) -> np.ndarray:
-    """Sorted distinct shape keys of all triples i < j < k of a rank table,
-    each sorted rank triple packed `width` bits a rank. Rows i are keyed a
-    block at a time against the pairs j < k with j past the block's first
-    row (those with j <= i masked out), so the temporaries stay at about
-    _BLOCK entries, or one row against all pairs."""
-    n = len(rank)
-    r = np.array(rank, dtype=np.int64).reshape(n, n)
-    j, k = np.triu_indices(n, 1)  # all pairs, ordered by j
-    jk = r[j, k]
-    step = max(1, _BLOCK // max(j.size, 1))
-    blocks = [np.empty(0, dtype=np.int64)]
-    for i0 in range(0, n - 2, step):
-        i = np.arange(i0, min(i0 + step, n - 2))[:, None]
-        s = np.searchsorted(j, i0, side="right")
-        rows = r[i0 : i0 + i.size]
-        keys = _pack_sorted(rows[:, j[s:]], rows[:, k[s:]], jk[s:], width)
-        blocks.append(keys[j[s:] > i])
-    return _sorted_unique(blocks)
 
 
 def _from_ranks(label: str, mode: str, n: int, ranks: list[int], values: list) -> GroundSet:

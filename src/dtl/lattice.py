@@ -11,7 +11,7 @@ side h = q(d) stays out of the key, as keys with different h never collide.
 Each task of whole h groups sorts each group's keys in place and returns one
 count; the counts add up with no merge. `general_lattice_census` keeps the
 translation-only enumeration of vertex pairs, an independent check, with the
-three sorted squared sides packed into one int64 of equal-width bit fields.
+three sorted squared sides packed into one int64 by `keys`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from math import lcm
 import numpy as np
 
 from .errors import CostGuardExceeded, PreconditionError
+from .keys import key_width, nonzero_area, pack_sorted, sorted_unique
 
 # The largest n the all-triples oracle runs at.
 ORACLE_LIMIT = 8
@@ -33,9 +34,6 @@ ORACLE_LIMIT = 8
 # the task list does not depend on workers, and small, so a task's keys take
 # at most 8 MB.
 _TASK_KEYS = 1_000_000
-# The fewest pending keys `_union` merges at once: the cross-check's own
-# floor, independent of the kernel's task size.
-_UNION_KEYS = 10_000_000
 # Bytes a longest-side census may hold at once over all its processes;
 # checked before any task runs (`_check_memory`).
 _MEMORY_BUDGET = 2 << 30
@@ -131,67 +129,12 @@ def bounding_box_class(a: tuple[int, int], b: tuple[int, int]) -> BoundingBoxCla
 
 
 # ---------------------------------------------------------------------------
-# Packed shape keys
+# Census tasks: each is a pure function of its arguments, so it gives the same
+# result under any multiprocessing start method.
 
 
 def _field_width(n: int, qa: int, qb: int, qc: int) -> int:
-    qmax = (qa + abs(qb) + qc) * (n - 1) ** 2
-    w = max(qmax.bit_length(), 1)
-    if 3 * w > 63:
-        raise CostGuardExceeded(f"squared distances up to {qmax} overflow the packed key")
-    return w
-
-
-def _pack_sorted(x, y, z, width: int):
-    lo = np.minimum(np.minimum(x, y), z)
-    hi = np.maximum(np.maximum(x, y), z)
-    mid = x + y + z - lo - hi
-    return (lo << (2 * width)) | (mid << width) | hi
-
-
-def _nondegenerate_count(keys: np.ndarray, width: int) -> int:
-    """Keys of nonzero area, 16 area^2 = 4ab - (c - a - b)^2 for squared sides
-    a, b, c, counted in cache-sized slices so the temporaries stay small."""
-    mask = (1 << width) - 1
-    count = 0
-    for s in range(0, keys.size, 1 << 16):
-        k = keys[s : s + (1 << 16)]
-        a, b, c = k >> (2 * width), (k >> width) & mask, k & mask
-        c -= a + b
-        count += int(np.count_nonzero(4 * a * b != c * c))
-    return count
-
-
-def _sorted_unique(arrays: list[np.ndarray]) -> np.ndarray:
-    arr = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-    arrays.clear()
-    arr.sort()
-    if arr.size == 0:
-        return arr
-    keep = np.empty(arr.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(arr[1:], arr[:-1], out=keep[1:])
-    return arr[keep]
-
-
-def _union(arrays) -> np.ndarray:
-    """Sorted distinct keys over an iterable of key arrays. Pending arrays are
-    merged in once they hold as many keys as the union so far (and at least
-    _UNION_KEYS), so memory stays a small multiple of the result."""
-    acc, pending, size = np.empty(0, dtype=np.int64), [], 0
-    for arr in arrays:
-        pending.append(arr)
-        size += arr.size
-        if size >= max(acc.size, _UNION_KEYS):
-            pending.append(acc)
-            acc, size = _sorted_unique(pending), 0
-    pending.append(acc)
-    return _sorted_unique(pending)
-
-
-# ---------------------------------------------------------------------------
-# Census tasks: each is a pure function of its arguments, so it gives the same
-# result under any multiprocessing start method.
+    return key_width((qa + abs(qb) + qc) * (n - 1) ** 2)
 
 
 def _longest_sides(n: int, q: tuple[int, int, int]):
@@ -419,10 +362,8 @@ def _delta_chunk(task: tuple) -> np.ndarray:
         dv = v1 - d2v[mask]
         dq = qa * du * du + qb * du * dv + qc * dv * dv
         w1 = qa * u1 * u1 + qb * u1 * v1 + qc * v1 * v1
-        out.append(_pack_sorted(np.int64(w1), w2[mask], dq, width))
-    if not out:
-        return np.empty(0, dtype=np.int64)
-    return _sorted_unique(out)
+        out.append(pack_sorted(np.int64(w1), w2[mask], dq, width))
+    return sorted_unique(out)
 
 
 def _run_chunks(tasks: list[tuple], workers: int):
@@ -521,12 +462,16 @@ def general_lattice_census(
     width = _field_width(n, *q)
     ndeltas = (2 * n - 1) ** 2
     tasks = [(n, q, (i, min(i + 64, ndeltas))) for i in range(0, ndeltas, 64)]
-    keys = _union(map(_delta_chunk, tasks))
+    keys = sorted_unique(map(_delta_chunk, tasks))
+    distinct = keys.size
+    if not include_degenerate:  # in cache-sized slices, so the temporaries stay small
+        slices = (keys[s : s + (1 << 16)] for s in range(0, keys.size, 1 << 16))
+        distinct = sum(int(np.count_nonzero(nonzero_area(k, width))) for k in slices)
     return ShapeCensus(
         kind="general",
         n=n,
         include_degenerate=include_degenerate,
-        distinct=keys.size if include_degenerate else _nondegenerate_count(keys, width),
+        distinct=distinct,
         elapsed_ms=(time.monotonic() - t0) * 1000.0,
         workers=1,
     )

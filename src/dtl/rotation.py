@@ -33,7 +33,8 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import CostGuardExceeded, PreconditionError
-from .lattice import BoundingBoxClass, _pack_sorted, bounding_box_class
+from .keys import key_width, nonzero_area, pack_sorted, unpack
+from .lattice import BoundingBoxClass, bounding_box_class
 
 Point = tuple[int, int]
 Triangle = frozenset  # of Point, always containing the origin
@@ -345,9 +346,9 @@ class MinimalityReport:
     violations: list[tuple[Point, Point]]
 
 
-def _shape_keys(xu, xv, yu, yv, width: int) -> np.ndarray:
+def _origin_keys(xu, xv, yu, yv, width: int) -> np.ndarray:
     """Packed sorted squared sides of the triangles {O, x, y}."""
-    return _pack_sorted(xu * xu + xv * xv, yu * yu + yv * yv,
+    return pack_sorted(xu * xu + xv * xv, yu * yu + yv * yv,
                         (xu - yu) ** 2 + (xv - yv) ** 2, width)
 
 
@@ -371,13 +372,11 @@ def verify_minimality(n: int) -> MinimalityReport:
     i, j = np.triu_indices(n2 - 1, 1)
     i, j = i + 1, j + 1  # point codes u*n + v after the origin's 0
     (au, av), (bu, bv) = np.divmod(i, n), np.divmod(j, n)
-    width = (2 * (n - 1) ** 2).bit_length()
-    key = _shape_keys(au, av, bu, bv, width)
+    width = key_width(2 * (n - 1) ** 2)
+    key = _origin_keys(au, av, bu, bv, width)
     _, cls, class_size = np.unique(key, return_inverse=True, return_counts=True)
-    mask = (1 << width) - 1
-    s1, s2, s3 = key >> 2 * width, key >> width & mask, key & mask
-    undefined = (s1 == s2) | (s2 == s3) | (s1 + s2 == s3)
-    undefined |= 2 * (s1 * s2 + s2 * s3 + s3 * s1) == s1 * s1 + s2 * s2 + s3 * s3
+    s1, s2, s3 = unpack(key, width)
+    undefined = (s1 == s2) | (s2 == s3) | (s1 + s2 == s3) | ~nonzero_area(key, width)
     axis = (au == 0) | (av == 0) | (bu == 0) | (bv == 0) | (au == bu) | (av == bv)
     live = ~undefined & ~axis
     live[live] = ~np.isin(i[live] * n2 + j[live], _rotatable_pairs(n))
@@ -392,7 +391,7 @@ def verify_minimality(n: int) -> MinimalityReport:
     ok = np.ones(key.size, dtype=bool)
     codes = []
     for pu, pv, qu, qv in members:
-        ok &= _shape_keys(pu, pv, qu, qv, width) == key
+        ok &= _origin_keys(pu, pv, qu, qv, width) == key
         cp, cq = pu * n + pv, qu * n + qv
         codes.append(np.minimum(cp, cq) * n2 + np.maximum(cp, cq))
     codes = np.sort(np.stack(codes, axis=1), axis=1)

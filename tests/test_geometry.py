@@ -51,7 +51,7 @@ def test_shape_sorted_sides():
 def test_sorted_sides_triple_limit(monkeypatch):
     # C(392, 3) = 9,962,680 triples are keyed; C(393, 3) = 10,039,316 are
     # refused before any triple is keyed
-    monkeypatch.setattr("dtl.geometry._shape_keys", lambda rank, width: np.empty(0, np.int64))
+    monkeypatch.setattr("dtl.geometry.rank_keys", lambda rank, width: np.empty(0, np.int64))
     assert GroundSet("big", "float", 392, (), ()).sorted_sides() == []
     with pytest.raises(CostGuardExceeded, match="393 points span 10039316 triples"):
         GroundSet("big", "float", 393, (), ()).sorted_sides()

@@ -578,12 +578,32 @@ def test_cli_stdout_and_out_payload_are_the_same(hex_file, tmp_path, capsys, arg
     assert _masked(out.read_text()) == _masked(printed)
 
 
+@pytest.mark.parametrize("argv, count", [
+    (["ngon", "--series", "3:1000000000000"], 999999999998),
+    (["census", "--lattice", "square", "--series", "2:1000000000000"], 999999999999),
+    (["ngon", "--series", "3:10003"], 10001),
+    (["ngon", "--series", f"1:{10**30}:7"], (10**30 - 1) // 7 + 1),
+])
+def test_cli_refuses_an_oversized_series(capsys, argv, count):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: series {argv[-1]!r} holds {count} values, over the limit of 10000\n"
+    )
+
+
+def test_cli_series_at_the_limit_runs(capsys):
+    assert run(["ngon", "--series", "3:10002"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 10_000
+
+
 def test_cli_pointset_refuses_too_many_triples(tmp_path, capsys, monkeypatch):
     def key_all(rank, width):
         raise AssertionError("triples keyed")
 
     monkeypatch.setattr("dtl.geometry.TRIPLE_LIMIT", 3, raising=False)
-    monkeypatch.setattr("dtl.geometry._shape_keys", key_all)
+    monkeypatch.setattr("dtl.geometry.rank_keys", key_all)
     f = tmp_path / "four.dtl"
     f.write_text(FLOAT_FOUR)
     assert run(["pointset", "--file", str(f)]) == 1

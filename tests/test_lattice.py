@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from dtl import lattice
+from dtl import keys as packed, lattice
 from dtl.errors import CostGuardExceeded, PreconditionError
 from dtl.lattice import (
     BoundingBoxClass,
@@ -352,11 +352,18 @@ def test_canonical_rule_keeps_one_pair_per_reflection_orbit(n, corner):
 @pytest.mark.parametrize("floor", [0, 50, 10**7])
 def test_union_merges_to_the_sorted_distinct_keys(monkeypatch, floor):
     # floor 0 merges after every array, 50 now and then, 10**7 only at the end
-    monkeypatch.setattr(lattice, "_UNION_KEYS", floor)
+    monkeypatch.setattr(packed, "_MERGE_KEYS", floor)
     rng = np.random.default_rng(0)
     arrays = [rng.integers(0, 300, size=s, dtype=np.int64) for s in (0, 7, 40, 1, 200, 3, 90)]
     want = np.unique(np.concatenate(arrays))
-    assert np.array_equal(lattice._union(a.copy() for a in arrays), want)
+    assert np.array_equal(packed.sorted_unique(a.copy() for a in arrays), want)
+
+
+def test_key_width_refuses_fields_past_21_bits():
+    # three 21-bit fields fill 63 bits of an int64; a 22-bit field overflows
+    assert packed.key_width(2**21 - 1) == 21
+    with pytest.raises(CostGuardExceeded, match="overflow the packed key"):
+        packed.key_width(2**21)
 
 
 @pytest.mark.parametrize("deg", [True, False])
@@ -412,7 +419,7 @@ def test_task_count_is_its_distinct_keys(monkeypatch, deg):
         counts = []
         for task in _tasks(8, q, deg):
             keys = [k for side in task[3].T.tolist() for k in _kernel_keys(q, task[1], side, deg)]
-            unique = lattice._sorted_unique([np.array(keys, dtype=np.int64)])
+            unique = packed.sorted_unique([np.array(keys, dtype=np.int64)])
             assert lattice._longest_side_chunk(task) == unique.size == len(set(keys))
             counts.append(len(set(keys)))
         empty += counts.count(0)

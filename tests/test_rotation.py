@@ -505,7 +505,9 @@ def test_lemma33_hypothesis_errors():
 
 # --- property sweeps --------------------------------------------------------
 
-triples_strategy = st.sampled_from(enum_primitive_triples(100))
+# deferred, so a generator fault fails the tests that draw from it, not the
+# collection of the whole module
+triples_strategy = st.deferred(lambda: st.sampled_from(enum_primitive_triples(100)))
 small_pts = st.tuples(
     st.integers(min_value=-20, max_value=20), st.integers(min_value=-20, max_value=20)
 )
