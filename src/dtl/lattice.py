@@ -9,7 +9,13 @@ the kept c form at most two runs of consecutive v (`_runs`), along which the
 key q(c) * 2**w + q(c - d) is a quadratic in v (`_side_keys`); the longest
 side h = q(d) stays out of the key, as keys with different h never collide.
 Each task of whole h groups sorts each group's keys in place and returns one
-count; the counts add up with no merge. `general_lattice_census` keeps the
+count; the counts add up with no merge. A d whose h no other d of its task
+holds is counted without keys (`_mirror_count`): two of its c share a key
+only as mirror images in the line through 0 and d, the reflection behind
+the paper's minimal congruency sets, and the image of c is a lattice point
+iff m = h / gcd(h, du, dv) divides the linear L(c). A d whose mirror maps
+(0, 1) into the lattice keeps its keys: there every c of a run or none would
+be tested, and sorting is faster. `general_lattice_census` keeps the
 translation-only enumeration of vertex pairs, an independent check, with the
 three sorted squared sides packed into one int64 by `keys`.
 """
@@ -315,11 +321,74 @@ def _side_keys(q, width, rows, include_degenerate):
     return out, np.bincount(d, weights=size, minlength=rows.shape[1]).astype(np.int64)
 
 
+def _mirror_period(q, rows):
+    """Per row, m = h / gcd(h, du, dv), so that the mirror image Rc of c is
+    integral iff m divides L(c), and the period along v of that test."""
+    qa, qb, qc = q
+    du, dv, h = rows[:3]
+    m = h // np.gcd(h, np.gcd(du, dv))
+    return m, m // np.gcd(qb * du + 2 * qc * dv, m)
+
+
+def _mirror_count(q, rows, include_degenerate):
+    """The sum over the rows of the distinct keys of each row on its own:
+    its kept c less its mirror pairs.
+
+    Two c of one d with the same key lie on one form circle about 0 and one
+    about d, which meet only in c and its mirror image in the line through 0
+    and d, Rc = (L(c) / h) d - c. R keeps the key, L(c) and the collinear
+    rule, so c pairs with another kept c iff Rc is integral, Rc != c and Rc
+    is in the c box. With g = gcd(h, du, dv), Rc is integral iff m = h / g
+    divides L(c): along a run, at every step-th v from a solution of
+    lv v = -lu u (mod m), if one exists. Only those c are tested.
+    """
+    qa, qb, qc = q
+    du, dv, h, u0, u1, v0, v1 = rows
+    m, step = _mirror_period(q, rows)
+    lu, lv = 2 * qa * du + qb * dv, qb * du + 2 * qc * dv  # L(c) = lu u + lv v
+    g = m // step  # gcd(lv, m)
+    inv = np.array([pow(a, -1, s) for a, s in zip((lv // g).tolist(), step.tolist())],
+                   dtype=np.int64)
+    eu, ev = du // (h // m), dv // (h // m)  # Rc = (L(c) / m) (eu, ev) - c
+    d, u, v, size = _runs(q, rows, include_degenerate)
+    sd = step[d]
+    a, rem = np.divmod(lu[d] * u, g[d])
+    # |a| <= |lu u| < 2**22 and inv < step <= h < 2**21 under the key width
+    # guard, so the product stays below 2**43
+    first = v + (-a * inv[d] - v) % sd
+    count = np.maximum((v + size - 1 - first) // sd + 1, 0) * (rem == 0)
+    # the tested c, one run after another
+    j = np.repeat(np.arange(d.size), count)
+    cu = u[j]
+    cv = first[j] + (np.arange(j.size) - np.repeat(np.cumsum(count) - count, count)) * sd[j]
+    e = d[j]
+    t = (lu[e] * cu + lv[e] * cv) // m[e]
+    ru, rv = t * eu[e] - cu, t * ev[e] - cv
+    paired = int(np.count_nonzero(((ru != cu) | (rv != cv)) & (u0[e] <= ru) & (ru <= u1[e])
+                                  & (v0[e] <= rv) & (rv <= v1[e])))
+    assert paired % 2 == 0  # R pairs them off
+    return int(size.sum()) - paired // 2
+
+
 def _longest_side_chunk(task: tuple) -> int:
-    """Distinct shapes whose longest side is one of the task's d. Keys of one
-    h are contiguous and never equal keys of another h, so each h group is
-    sorted in place on its own and counts 1 plus its adjacent differences."""
+    """Distinct shapes whose longest side is one of the task's d.
+
+    A row whose h no other row of the task holds shares no key with another
+    row: `_mirror_count` counts it, unless its mirror period is 1 (R maps
+    (0, 1) into the lattice, as on the square grid's axes and diagonal), so
+    that it would test every c of a run or none and sorting is faster. The
+    other rows keep their keys: keys of one h are contiguous and never equal
+    keys of another h, so each h group is sorted in place on its own and
+    counts 1 plus its adjacent differences.
+    """
     q, width, include_degenerate, rows, _ = task
+    h = rows[2]
+    new = h[1:] != h[:-1]
+    lone = np.append(True, new) & np.append(new, True) & (_mirror_period(q, rows)[1] > 1)
+    distinct = _mirror_count(q, rows[:, lone], include_degenerate)
+    rows = rows[:, ~lone]
+    if rows.shape[1] == 0:
+        return distinct
     keys, counts = _side_keys(q, width, rows, include_degenerate)
     ends = np.cumsum(counts)
     h = rows[2]
@@ -328,10 +397,10 @@ def _longest_side_chunk(task: tuple) -> int:
         keys[lo:hi].sort()
     total = ends[-1]
     if total == 0:
-        return 0
+        return distinct
     differ = keys[1:total] != keys[: total - 1]
     differ[[e - 1 for e in ends[:-1] if 0 < e < total]] = True
-    return 1 + int(np.count_nonzero(differ))
+    return distinct + 1 + int(np.count_nonzero(differ))
 
 
 def _delta_chunk(task: tuple) -> np.ndarray:

@@ -117,14 +117,20 @@ def _odd_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(odd)
 
 
+def _both_leg_orders(max_r: int):
+    """The triples of `_triple_arrays(max_r)` in both leg orders: int64
+    arrays p, q, r holding every (p, q, r) and then every (q, p, r)."""
+    p, q, r = (np.concatenate(a) for a in zip(*_triple_arrays(max_r)))
+    return np.concatenate((p, q)), np.concatenate((q, p)), np.concatenate((r, r))
+
+
 def enum_primitive_triples(max_r: int) -> list[PythTriple]:
     """All primitive triples with hypotenuse <= max_r, both leg orders,
     sorted by (r, p). Generated from coprime m > n >= 1 of opposite parity
     via (m^2 - n^2, 2mn, m^2 + n^2)."""
     if max_r < 5:
         raise PreconditionError("max_r must be at least 5")
-    p, q, r = (np.concatenate(a) for a in zip(*_triple_arrays(max_r)))
-    p, q, r = np.concatenate((p, q)), np.concatenate((q, p)), np.concatenate((r, r))
+    p, q, r = _both_leg_orders(max_r)
     order = np.lexsort((p, r))
     return [PythTriple(*t) for t in zip(*(a[order].tolist() for a in (p, q, r)))]
 
@@ -161,7 +167,25 @@ def rotatable_points(n: int, t: PythTriple) -> list[Point]:
 
 
 def count_rotatable_points(n: int, t: PythTriple) -> int:
-    return len(rotatable_points(n, t))
+    """len(rotatable_points(n, t)), without building the points.
+
+    Row b holds a = c*b mod r and a + r, a + 2r, ... below n: k + 1 points
+    when a <= s and k otherwise, for k, s = divmod(n - 1, r). b -> c*b mod r
+    permutes the residues, so every whole period of r rows has s + 1 rows of
+    k + 1 points. The rows past the last whole period are counted in blocks,
+    so memory does not grow with n; their values are below r, and exact in
+    object arrays once r^2 would overflow int64."""
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
+    r = t.r
+    c = t.p * pow(t.q, -1, r) % r
+    k, s = divmod(n - 1, r)
+    count = n * k + n // r * (s + 1)
+    dtype = np.int64 if r <= _INT64_MAX_R else object
+    for lo in range(0, n % r, _PAIR_BLOCK):
+        b = np.arange(lo, min(n % r, lo + _PAIR_BLOCK)).astype(dtype)
+        count += int(np.count_nonzero(c * b % r <= s))
+    return count
 
 
 def _rotatable_pairs(n: int) -> np.ndarray:
@@ -176,8 +200,7 @@ def _rotatable_pairs(n: int) -> np.ndarray:
     max_r = 2 * (n - 1) * (n - 1)
     if max_r < 5:
         return np.empty(0, dtype=np.int64)
-    p, q, r = (np.concatenate(a) for a in zip(*_triple_arrays(max_r)))
-    p, q, r = np.concatenate((p, q)), np.concatenate((q, p)), np.concatenate((r, r))
+    p, q, r = _both_leg_orders(max_r)
     c = np.array([x * pow(y, -1, z) % z for x, y, z in zip(p.tolist(), q.tolist(), r.tolist())])
     u = c[:, None] * np.arange(n) % r[:, None]
     t, v = np.nonzero(u < n)

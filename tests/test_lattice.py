@@ -114,7 +114,7 @@ def test_gram_positive_definite_required():
         GramForm(0, 0, 1)
 
 
-@pytest.mark.parametrize("q", [(1, 0, 2), (2, 1, 3), (1, -1, 3)])
+@pytest.mark.parametrize("q", [(1, 0, 2), (2, 1, 3), (1, -1, 3), (1, 0, 3), (3, 2, 5)])
 @pytest.mark.parametrize("deg", [True, False])
 def test_census_matches_oracle_on_general_forms(q, deg):
     kind = LatticeKind.general(GramForm(*q))
@@ -425,6 +425,22 @@ def test_task_count_is_its_distinct_keys(monkeypatch, deg):
         empty += counts.count(0)
         assert sum(counts) == all_triples_census(8, LatticeKind.general(GramForm(*q)), deg).distinct
     assert empty > 0
+
+
+@pytest.mark.parametrize("q", [*G_ORDERS, (1, -1, 3), (1, 0, 3)])
+@pytest.mark.parametrize("deg", [True, False])
+def test_mirror_count_is_each_rows_distinct_keys(q, deg):
+    # The mirror rule holds for any one row, lone or not, whatever its mirror
+    # period: its distinct keys are its kept c less its mirror pairs.
+    paired = 0
+    for n in range(2, 11):
+        width = lattice._field_width(n, *q)
+        for side in lattice._longest_sides(n, q).T.tolist():
+            keys = _kernel_keys(q, width, side, deg)
+            got = lattice._mirror_count(q, np.array(side, dtype=np.int64)[:, None], deg)
+            assert got == len(set(keys)), (n, side)
+            paired += len(keys) - got
+    assert paired > 0
 
 
 def test_memory_guard_refuses_before_any_task_runs(monkeypatch):

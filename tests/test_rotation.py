@@ -179,6 +179,33 @@ def test_count_rotatable_points_small():
     assert count_rotatable_points(1, PythTriple(5, 12, 13)) == 1
 
 
+@pytest.mark.parametrize("int64_max_r", [_INT64_MAX_R, 0])
+def test_count_rotatable_points_matches_the_points(monkeypatch, int64_max_r):
+    triples = enum_primitive_triples(100)
+    # a limit of 0 sends every triple through the object-array path
+    monkeypatch.setattr(rotation, "_INT64_MAX_R", int64_max_r)
+    for t in triples:
+        for n in range(1, 61):
+            assert count_rotatable_points(n, t) == len(rotatable_points(n, t))
+
+
+def test_count_rotatable_points_holds_no_points():
+    # listing the points took 70.4 MB at n = 2,000 and grows like n^2
+    tracemalloc.start()
+    try:
+        assert count_rotatable_points(2_000, T345) == 800_000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a triple whose r^2 overflows int64, and an n past int64
+    big = PythTriple(55_200**2 - 1, 2 * 55_200, 55_200**2 + 1)
+    assert big.r > _INT64_MAX_R
+    # (55200, 1) and (55199, 55201) are rotatable
+    assert count_rotatable_points(60_000, big) == len(rotatable_points(60_000, big)) == 3
+    assert count_rotatable_points(10**20, T345) == 10**40 // 5
+
+
 def test_point_bound_table():
     assert rotatable_point_bound(5, 5) == 5  # r < n: r·⌈n/r⌉²
     assert rotatable_point_bound(5, 13) == 5  # n ≤ r ≤ 2n²: n
