@@ -5,19 +5,23 @@ A census keys each triangle at a longest side PQ, up to the signed coordinate
 permutations that keep the form and up to swapping P and Q, and skips third
 vertices collinear with PQ when degenerate triangles are excluded
 (`_longest_sides`). For d = Q - P and one row u of third vertices c = R - P,
-the kept c form at most two runs of consecutive v (`_runs`), along which the
-key q(c) * 2**w + q(c - d) is a quadratic in v (`_side_keys`); the longest
-side h = q(d) stays out of the key, as keys with different h never collide.
-Each task of whole h groups sorts each group's keys in place and returns one
-count; the counts add up with no merge. A d whose h no other d of its task
-holds is counted without keys (`_mirror_count`): two of its c share a key
-only as mirror images in the line through 0 and d, the reflection behind
-the paper's minimal congruency sets, and the image of c is a lattice point
-iff m = h / gcd(h, du, dv) divides the linear L(c). A d whose mirror maps
-(0, 1) into the lattice keeps its keys: there every c of a run or none would
-be tested, and sorting is faster. `general_lattice_census` keeps the
-translation-only enumeration of vertex pairs, an independent check, with the
-three sorted squared sides packed into one int64 by `keys`.
+the kept c form at most two runs of consecutive v (`_runs`); the shape of
+{0, d, c} is h = q(d), q(c) and q(c - d), and d of one h form a group.
+Two kept (d, c), (d', c') of one group have one shape iff an isometry that
+fixes 0 takes d to d' and c to c'. The two that take d to d' are
+rho(c) = (L(c) d' +- X(c) p(d')) / (2h), with L(c) = q(c) + h - q(c - d),
+X(c) = du v - dv u and p(d') the integral q-perpendicular of d'; for d' = d
+the minus sign is the mirror in the line through 0 and d, the reflection
+behind the paper's minimal congruency sets. Order the kept c of a group by
+their d's place in it, and put c with X(c) > 0 before its mirror image: a
+group has as many shapes as kept c that no rho takes to an earlier kept c.
+So each task counts its kept c less those (`_longest_side_chunk`), with no
+shape keys: rho(c) is integral on a sublattice of the c (`_maps`), whose c
+along a run are an arithmetic progression, and those that rho takes into
+the c box of d', so to kept c of d', are one range of it (`_taken`).
+`general_lattice_census` keeps the translation-only enumeration of vertex
+pairs, an independent check, with the three sorted squared sides packed
+into one int64 by `keys`.
 """
 
 from __future__ import annotations
@@ -36,20 +40,22 @@ from .keys import key_width, nonzero_area, pack_sorted, sorted_unique
 
 # The largest n the all-triples oracle runs at.
 ORACLE_LIMIT = 8
-# Cells of the c boxes (a bound on the shape keys) per census task; fixed, so
-# the task list does not depend on workers, and small, so a task's keys take
-# at most 8 MB.
+# Cells of the c boxes per census task; fixed, so the task list does not
+# depend on workers.
 _TASK_KEYS = 1_000_000
 # Bytes a longest-side census may hold at once over all its processes;
 # checked before any task runs (`_check_memory`).
 _MEMORY_BUDGET = 2 << 30
-# `_side_keys` evaluates keys in batches of whole runs, starting a batch at
-# the first run that starts past a multiple of _BATCH_KEYS keys; a run is
-# shorter than 2n, so a batch holds fewer than 2 * _BATCH_KEYS keys.
+# `_task_bytes` charges a key per c-box cell, two batches of _BATCH_KEYS keys
+# and _ROW_BYTES per c-box u row: well over what a task holds, the
+# temporaries of `_runs` (about 100 bytes per c-box u row of a slice under
+# tracemalloc) and of its maps.
 _BATCH_KEYS = 1 << 16
-# Bytes per u row of the temporaries of `_runs` and `_side_keys`; tracemalloc
-# measures at most 180 beyond the two batch temporaries.
 _ROW_BYTES = 200
+# c-box u rows of a slice of a task, evaluated at once.
+_SLICE_ROWS = 14000
+# More steps than any run has.
+_FAR = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -183,8 +189,8 @@ def _longest_sides(n: int, q: tuple[int, int, int]):
 def _longest_side_tasks(n: int, q: tuple, width: int, include_degenerate: bool) -> list:
     """Tasks (q, width, include_degenerate, rows, cells): runs of whole h groups
     of the h-sorted `_longest_sides` rows, closed once their c boxes hold
-    _TASK_KEYS cells (a bound on their keys). Keys of different h never
-    collide, so the tasks' counts add up. The split depends on n and q only."""
+    _TASK_KEYS cells. Triangles with different h never have one shape, so
+    the tasks' counts add up. The split depends on n and q only."""
     rows = _longest_sides(n, q)
     cells, h = ((rows[4] - rows[3] + 1) * (rows[6] - rows[5] + 1)).tolist(), rows[2].tolist()
     tasks, lo, load = [], 0, 0
@@ -197,14 +203,14 @@ def _longest_side_tasks(n: int, q: tuple, width: int, include_degenerate: bool) 
 
 
 def _key_dtype(width: int):
-    """The longest-side kernel's key type, for two fields of `width` bits."""
+    """The type of a key of two fields of `width` bits, as `_task_bytes`
+    charges it."""
     return np.uint32 if 2 * width <= 32 else np.int64
 
 
 def _task_bytes(task: tuple) -> int:
-    """A bound on the bytes a task holds at once: a key per c-box cell (the
-    buffer holds only the kept ones), two batch temporaries of keys, and the
-    temporaries of its u rows."""
+    """A bound on the bytes a task holds at once: a key per c-box cell, two
+    batches of keys and _ROW_BYTES per c-box u row (see _BATCH_KEYS)."""
     _, width, _, rows, cells = task
     return (np.dtype(_key_dtype(width)).itemsize * (cells + 4 * _BATCH_KEYS)
             + _ROW_BYTES * int((rows[4] - rows[3] + 1).sum()))
@@ -213,8 +219,8 @@ def _task_bytes(task: tuple) -> int:
 def _check_memory(tasks: list[tuple], workers: int) -> None:
     """Raise CostGuardExceeded when the processes that run the tasks, each
     holding at most `_task_bytes` of its largest task, could exceed
-    _MEMORY_BUDGET. The charge counts c-box cells, an upper bound on the keys
-    a task writes, as the exact count is known only once its runs are."""
+    _MEMORY_BUDGET. The charge counts c-box cells and rows, known before the
+    runs are."""
     pool = max(1, min(workers, len(tasks)))
     peak = pool * max(map(_task_bytes, tasks))
     if peak > _MEMORY_BUDGET:
@@ -224,55 +230,83 @@ def _check_memory(tasks: list[tuple], workers: int) -> None:
         )
 
 
+def _u_range(q, rows):
+    """Per row, the first and last u of its half-lens q(c - d) <= h, L(c) <= h,
+    clipped to its c box; a u row outside by less than 1e-6 stays in, and
+    `_runs` finds the exact ends of each row.
+
+    The ellipse q(c - d) <= h reaches its u ends du -+ r at the points
+    d -+ r (1, -qb / (2 qc)), where L(c) = 2h -+ reach. Where L there
+    exceeds h the half-plane cuts that end off, and the end moves to the
+    ends of the chord L(c) = h, the apexes d / 2 +- sqrt(3 / (4 disc)) p(d)
+    at distance h from both 0 and d.
+    """
+    qa, qb, qc = q
+    du, dv, h, u0, u1 = rows[:5]
+    disc = 4 * qa * qc - qb * qb
+    lv = qb * du + 2 * qc * dv
+    r = np.sqrt(4 * qc * h / disc)
+    reach = r * (2 * qa * du + qb * dv - qb * lv / (2 * qc))
+    apex = np.sqrt(3 / (4 * disc)) * np.abs(lv)
+    lo = np.where(reach >= h, du - r, du / 2 - apex)
+    hi = np.where(reach <= -h, du + r, du / 2 + apex)
+    return (np.maximum(np.ceil(lo - 1e-6), u0).astype(np.int64),
+            np.minimum(np.floor(hi + 1e-6), u1).astype(np.int64))
+
+
 def _runs(q, rows, include_degenerate):
     """The kept c of the rows' d as runs of consecutive v at one u: arrays
     (d, u, v, size) of each nonempty run's column in `rows`, its u, its first
     v and its length, in row-major order of c, one d after another.
 
-    For fixed u the c with q(c - d) <= h form an interval of v, whose ends are
-    the float roots of a quadratic made exact by integer checks at lo - 1, lo,
-    hi and hi + 1. L(c) <= h, linear in c, cuts the interval, and the d's c
-    box clips it. c = 0, and the c on the line through 0 and d unless
+    Each d's u rows are those of its half-lens (`_u_range`). For fixed u the
+    c with q(c - d) <= h form an interval of v, whose ends are the float
+    roots of a quadratic, moved out by 1e-6 and made exact by one integer
+    check each. L(c) <= h, linear in c, cuts the interval, and the d's c box
+    clips it. c = 0, and the c on the line through 0 and d unless
     `include_degenerate`, split a row into at most two runs; a d with du = 0
     loses its whole u = 0 row.
     """
     qa, qb, qc = q
-    nu = rows[4] - rows[3] + 1
-    d = np.repeat(np.arange(nu.size), nu)
-    du, dv, h, u, _, v0, v1 = np.repeat(rows, nu, axis=1)
-    u += np.arange(d.size) - np.repeat(np.cumsum(nu) - nu, nu)
+    ulo, uhi = _u_range(q, rows)
+    nu = np.maximum(uhi - ulo + 1, 0)
+    # int32 holds the coordinates and every term below but the root's,
+    # taken in floats: under the key width guard
+    # (qa + |qb| + qc) (n - 1)^2 < 2**21, and |x|, |v - dv| < 2n
+    d = np.repeat(np.arange(nu.size, dtype=np.int32), nu)
+    du, dv, h, v0, v1 = np.repeat(rows[[0, 1, 2, 5, 6]].astype(np.int32), nu, axis=1)
+    u = np.arange(d.size, dtype=np.int32)
+    u += np.repeat((ulo - (np.cumsum(nu) - nu)).astype(np.int32), nu)
     # q(c - d) <= h is qc*y^2 + qb*x*y <= h - qa*x^2 for (x, y) = c - d
     x = u - du
     rhs = h - qa * x * x
-    root = np.sqrt(np.maximum(4 * qc * rhs + qb * qb * x * x, 0))
-    lo = np.ceil(dv + (-qb * x - root) / (2 * qc)).astype(np.int64)
-    hi = np.floor(dv + (-qb * x + root) / (2 * qc)).astype(np.int64)
-
-    def inside(v):
-        return (qc * (v - dv) + qb * x) * (v - dv) <= rhs
-
-    # the float ends are within 1 of the exact ones
-    lo -= inside(lo - 1)
-    lo += ~inside(lo)
-    hi += inside(hi + 1)
-    hi -= ~inside(hi)
-    lo, hi = np.maximum(lo, v0), np.minimum(hi, v1)
+    root = np.sqrt(np.maximum(4.0 * qc * rhs + float(qb * qb) * x * x, 0))
+    # the float roots are within 1e-6 of the exact ones, so these ends are
+    # the exact ones or one outside them
+    mid = dv - qb * x / (2 * qc)
+    root /= 2 * qc
+    lo = np.ceil(mid - root - 1e-6).astype(np.int32)
+    hi = np.floor(mid + root + 1e-6).astype(np.int32)
+    lo += (qc * (lo - dv) + qb * x) * (lo - dv) > rhs
+    hi -= (qc * (hi - dv) + qb * x) * (hi - dv) > rhs
+    np.maximum(lo, v0, out=lo)
+    np.minimum(hi, v1, out=hi)
     # L(c) = lu u + lv v <= h is lv v <= rest
     lv, rest = qb * du + 2 * qc * dv, h - (2 * qa * du + qb * dv) * u
-    bound = rest // np.maximum(np.abs(lv), 1)
+    bound = _floor_div(rest, np.maximum(np.abs(lv), 1))
     hi = np.where(lv > 0, np.minimum(hi, bound), hi)
     lo = np.where(lv < 0, np.maximum(lo, -bound), lo)
     drop = (lv == 0) & (rest < 0)
     if include_degenerate:
         on, cut = u == 0, 0
     else:  # du >= 0 by the orbit rule
-        on = (du > 0) & (dv * u % np.maximum(du, 1) == 0)
-        cut = dv * u // np.maximum(du, 1)
+        cut = _floor_div(dv * u, np.maximum(du, 1))
+        on = (du > 0) & (cut * du == dv * u)
         drop |= (du == 0) & (u == 0)
-    hi = np.where(drop, lo - 1, hi)
+    hi[drop] = lo[drop] - 1
     cut = np.where(on, cut, hi + 1)
     # each row's runs before and after the cut
-    first, size = np.empty((d.size, 2), dtype=np.int64), np.empty((d.size, 2), dtype=np.int64)
+    first, size = np.empty((d.size, 2), dtype=np.int32), np.empty((d.size, 2), dtype=np.int32)
     first[:, 0] = lo
     np.maximum(lo, cut + 1, out=first[:, 1])
     np.minimum(hi, cut - 1, out=size[:, 0])
@@ -282,125 +316,233 @@ def _runs(q, rows, include_degenerate):
     return d[keep >> 1], u[keep >> 1], first.ravel()[keep], size.ravel()[keep]
 
 
-def _side_keys(q, width, rows, include_degenerate):
-    """The keys q(c) * 2**width + q(c - d) of the kept c of the rows' d, in
-    `_runs` order, in a new buffer of `_key_dtype(width)` exactly as long as
-    the keys, and each d's key count. Kept are the c != 0 with
-    q(c) <= q(c - d) <= h, off the line through 0 and d unless
-    `include_degenerate`: the triangles {0, d, c} with longest side d, one of
-    each pair c, d - c that swapping P and Q exchanges.
+def _floor_div(x, y):
+    """x // y for integer arrays with |x| < 2**53, by float division: unless
+    x / y is an integer, its distance to the next one, at least 1 / |y|,
+    exceeds the rounding error, below |x / y| 2**-53."""
+    return np.floor(x / y).astype(np.int64)
 
-    With L(c) = q(c) + h - q(c - d), linear in c, a key is (2**width + 1) q(c)
-    - L(c) + h: along a run from v, the quadratic (a*t + s)*t + k in the step
-    t = 0, 1, .... It is evaluated in the key type in batches of whole runs,
-    about _BATCH_KEYS keys each; uint32 products may wrap, but every key fits,
-    so the wrapped result is exact.
+
+def _maps(q, rows):
+    """The isometries rho that take a kept c of a row to a kept c of an
+    earlier row of its h group, or the mirror of a row in its own line:
+    (maps, covers). maps are arrays (r, p, mirror, a, b, e, mat, den) in
+    row order: the map of row r to row p is c -> mat c / den, integral on
+    the c with u = 0 (mod a) and v = (u / a) b (mod e). covers are arrays
+    (r, p, mirror, mat) of each row's first map integral on every c
+    (den = 1), for the rows that have one.
+
+    Writing rho = mat / den in lowest terms, rho(c) is integral iff
+    mat c = 0 (mod den): mat has determinant +-den^2 and coprime entries,
+    so this is one linear congruence and a sublattice of index den = a e.
+    Entries of mat are below 4 (qa + |qb| + qc) (n - 1)^2 < 2**23 in an
+    n x n region under the key width guard, so mat c and mat e stay far
+    below 2**53.
     """
-    qa, qb, qc = q
-    d, u, v, size = _runs(q, rows, include_degenerate)
-    dtype = _key_dtype(width)
-    du, dv, h = rows[0, d], rows[1, d], rows[2, d]
-    lu, lv = 2 * qa * du + qb * dv, qb * du + 2 * qc * dv  # L(c) = lu u + lv v
-    m = (1 << width) + 1
-    a, b = m * qc, m * qb * u - lv
-    k = ((a * v + b) * v + (m * qa * u - lu) * u + h).astype(dtype)
-    s = (2 * a * v + b).astype(dtype)
-    start = np.cumsum(size) - size
-    # np.empty, not np.zeros: every element gets a key below
-    out = np.empty(int(size.sum()), dtype=dtype)
-    batches = [*np.flatnonzero(np.diff(start // _BATCH_KEYS, prepend=-1)).tolist(), size.size]
-    for r0, r1 in zip(batches, batches[1:]):
-        lo, hi, n = int(start[r0]), int(start[r1 - 1] + size[r1 - 1]), size[r0:r1]
-        t = np.arange(hi - lo, dtype=dtype)
-        t -= np.repeat((start[r0:r1] - lo).astype(dtype), n)
-        keys = out[lo:hi]
-        np.multiply(t, a, out=keys)
-        keys += np.repeat(s[r0:r1], n)
-        keys *= t
-        keys += np.repeat(k[r0:r1], n)
-    return out, np.bincount(d, weights=size, minlength=rows.shape[1]).astype(np.int64)
-
-
-def _mirror_period(q, rows):
-    """Per row, m = h / gcd(h, du, dv), so that the mirror image Rc of c is
-    integral iff m divides L(c), and the period along v of that test."""
     qa, qb, qc = q
     du, dv, h = rows[:3]
-    m = h // np.gcd(h, np.gcd(du, dv))
-    return m, m // np.gcd(qb * du + 2 * qc * dv, m)
+    # d and L(c) = lu u + lv v
+    dl = np.stack((du, dv, 2 * qa * du + qb * dv, qb * du + 2 * qc * dv))
+    new = np.ones(h.size, dtype=bool)
+    np.not_equal(h[1:], h[:-1], out=new[1:])
+    # each row against each earlier row of its group, with both signs, and
+    # against itself with the minus sign
+    at = np.arange(h.size)
+    at -= np.maximum.accumulate(np.where(new, at, 0))
+    count = 2 * at + 1
+    r = np.arange(h.size).repeat(count)
+    i = np.arange(r.size) - (count.cumsum() - count).repeat(count)
+    p = r - at.repeat(count) + i // 2
+    s = np.where((i % 2 == 0) & (p != r), 1, -1)
+    (du, dv, lu, lv), (pu, pv, plu, plv) = dl[:, r], dl[:, p]
+    mat = np.stack((pu * lu + s * plv * dv, pu * lv - s * plv * du,
+                    pv * lu - s * plu * dv, pv * lv + s * plu * du))
+    g = np.gcd.reduce(mat)
+    den = 2 * h[r] // g
+    # d is in the lattice, so a kept c in it off the line through 0 and d
+    # has |X(c)| a multiple of den, while |X(c)| <= h sqrt(3 / disc) on the
+    # half-lens; on the line, a primitive d has no kept c
+    disc = 4 * qa * qc - qb * qb
+    keep = disc * den.astype(float) ** 2 <= 3.000001 * h[r].astype(float) ** 2
+    keep |= np.gcd(du, dv) > 1
+    r, p, den, mat = r[keep], p[keep], den[keep], mat[:, keep] // g[keep]
+    # the lattice's u rows are a apart, and along them v steps by e
+    a = np.gcd(np.gcd(mat[1], mat[3]), den)
+    e = den // a
+    # on the row u = a: n01 v = -mat[0] and n11 v = -mat[2] (mod e) for
+    # n01 = mat[1] / a, n11 = mat[3] / a, so (n01 + c n11) v =
+    # -(mat[0] + c mat[2]) for c the part of e prime to n01, which makes
+    # the factor a unit
+    n01, n11 = mat[1] // a, mat[3] // a
+    c, f = e.copy(), np.gcd(e, n01)
+    while (f > 1).any():
+        c //= f
+        f = np.gcd(c, f)
+    unit, rhs = (n01 + c * n11) % e, (mat[0] + c * mat[2]) % e
+    b = np.zeros(e.size, dtype=np.int64)
+    t = (e > 1).nonzero()[0]
+    b[t] = [-y * pow(x, -1, m) % m for x, y, m in zip(*(z[t].tolist() for z in (unit, rhs, e)))]
+    cover = (den == 1).nonzero()[0]
+    cover = cover[np.diff(r[cover], prepend=-1) != 0]
+    rest = np.ones(r.size, dtype=bool)
+    rest[cover] = False
+    return ((r[rest], p[rest], p[rest] == r[rest], a[rest], b[rest], e[rest], mat[:, rest],
+             den[rest]), (r[cover], p[cover], p[cover] == r[cover], mat[:, cover]))
 
 
-def _mirror_count(q, rows, include_degenerate):
-    """The sum over the rows of the distinct keys of each row on its own:
-    its kept c less its mirror pairs.
+def _within(a0, b, lo, hi):
+    """The first and last step i with lo <= a0 + b i <= hi, an empty range
+    when there is none."""
+    flat = b == 0
+    b = np.where(flat, 1, b)
+    x, y = np.where(b < 0, hi, lo) - a0, np.where(b < 0, lo, hi) - a0
+    first, last = -_floor_div(-x, b), _floor_div(y, b)
+    if flat.any():
+        inside = (lo <= a0) & (a0 <= hi)
+        first[flat] = np.where(inside, -_FAR, _FAR)[flat]
+        last[flat] = np.where(inside, _FAR, -_FAR)[flat]
+    return first, last
 
-    Two c of one d with the same key lie on one form circle about 0 and one
-    about d, which meet only in c and its mirror image in the line through 0
-    and d, Rc = (L(c) / h) d - c. R keeps the key, L(c) and the collinear
-    rule, so c pairs with another kept c iff Rc is integral, Rc != c and Rc
-    is in the c box. With g = gcd(h, du, dv), Rc is integral iff m = h / g
-    divides L(c): along a run, at every step-th v from a solution of
-    lv v = -lu u (mod m), if one exists. Only those c are tested.
-    """
+
+def _roomy(q, rows):
+    """Per row, whether its c box holds its whole lens q(c) <= h,
+    q(c - d) <= h, so every kept c of the row; only a box cut by the n x n
+    region may not."""
     qa, qb, qc = q
     du, dv, h, u0, u1, v0, v1 = rows
-    m, step = _mirror_period(q, rows)
-    lu, lv = 2 * qa * du + qb * dv, qb * du + 2 * qc * dv  # L(c) = lu u + lv v
-    g = m // step  # gcd(lv, m)
-    inv = np.array([pow(a, -1, s) for a, s in zip((lv // g).tolist(), step.tolist())],
-                   dtype=np.int64)
-    eu, ev = du // (h // m), dv // (h // m)  # Rc = (L(c) / m) (eu, ev) - c
-    d, u, v, size = _runs(q, rows, include_degenerate)
-    sd = step[d]
-    a, rem = np.divmod(lu[d] * u, g[d])
-    # |a| <= |lu u| < 2**22 and inv < step <= h < 2**21 under the key width
-    # guard, so the product stays below 2**43
-    first = v + (-a * inv[d] - v) % sd
-    count = np.maximum((v + size - 1 - first) // sd + 1, 0) * (rem == 0)
-    # the tested c, one run after another
-    j = np.repeat(np.arange(d.size), count)
-    cu = u[j]
-    cv = first[j] + (np.arange(j.size) - np.repeat(np.cumsum(count) - count, count)) * sd[j]
-    e = d[j]
-    t = (lu[e] * cu + lv[e] * cv) // m[e]
-    ru, rv = t * eu[e] - cu, t * ev[e] - cv
-    paired = int(np.count_nonzero(((ru != cu) | (rv != cv)) & (u0[e] <= ru) & (ru <= u1[e])
-                                  & (v0[e] <= rv) & (rv <= v1[e])))
-    assert paired % 2 == 0  # R pairs them off
-    return int(size.sum()) - paired // 2
+    disc = 4 * qa * qc - qb * qb
+    ru, rv = np.sqrt(4 * qc * h / disc) + 1e-6, np.sqrt(4 * qa * h / disc) + 1e-6
+    return ((np.maximum(du, 0) - u0 >= ru) & (u1 - np.minimum(du, 0) >= ru)
+            & (np.maximum(dv, 0) - v0 >= rv) & (v1 - np.minimum(dv, 0) >= rv))
+
+
+def _taken(rows, roomy, progressions, maps, m):
+    """The first and last step i < num of the progressions (dj, uj, vj, e,
+    num) of c (uj, vj + i e) of rows dj, lattice points of the maps m of
+    `maps` (p, mirror, mat, den), that the maps take to kept c of their
+    rows p: the c whose image mat c / den lies in p's c box, a test a
+    `roomy` box passes, and for a mirror the c with X(c) < 0, taken to
+    X(c) > 0. The image and X(c) are linear in i."""
+    dj, uj, vj, e, num = progressions
+    p, mirror, mat, den = maps
+    lo, hi = np.zeros(uj.size, dtype=np.int64), num - 1
+    t = (~roomy[p[m]]).nonzero()[0]
+    if t.size:
+        mt, dt, box = mat[:, m[t]], den[m[t]], rows[3:7, p[m[t]]]
+        ut, vt, et = uj[t], vj[t], e[t]
+        a, b = _within(_floor_div(mt[0] * ut + mt[1] * vt, dt), _floor_div(mt[1] * et, dt),
+                       box[0], box[1])
+        a2, b2 = _within(_floor_div(mt[2] * ut + mt[3] * vt, dt), _floor_div(mt[3] * et, dt),
+                         box[2], box[3])
+        lo[t], hi[t] = np.maximum(np.maximum(a, a2), 0), np.minimum(np.minimum(b, b2), hi[t])
+    t = mirror[m].nonzero()[0]
+    if t.size:
+        du, dv = rows[0, dj[t]], rows[1, dj[t]]
+        a, b = _within(du * vj[t] - dv * uj[t], du * e[t], -_FAR, -1)
+        lo[t], hi[t] = np.maximum(a, lo[t]), np.minimum(b, hi[t])
+    return lo, hi
+
+
+def _uncovered(rows, roomy, runs, covers):
+    """The runs the rows' covers leave: those of rows without one, then the
+    pieces before and after the range a cover takes of each run; and the
+    number of c the covers take."""
+    cr, cp, mirror, mat = covers
+    d, u, v, size = runs
+    cover = np.full(rows.shape[1], -1)
+    cover[cr] = np.arange(cr.size)
+    at = cover[d]
+    jc, rest = (at >= 0).nonzero()[0], (at < 0).nonzero()[0]
+    mc = at[jc]
+    dc, uc, vc, sc = d[jc], u[jc], v[jc], size[jc]
+    uc, vc, sc = uc.astype(np.int64), vc.astype(np.int64), sc.astype(np.int64)
+    lo, hi = _taken(rows, roomy, (dc, uc, vc, np.ones(jc.size, dtype=np.int64), sc),
+                    (cp, mirror, mat, np.ones(cp.size, dtype=np.int64)), mc)
+    taken = np.maximum(hi - lo + 1, 0)
+    # a run keeps [0, lo) and (hi, size), or all of it when none is taken
+    none = taken == 0
+    lo[none], hi[none] = sc[none], sc[none] - 1
+    first = np.stack((vc, vc + hi + 1), axis=1).ravel()
+    length = np.stack((lo, sc - hi - 1), axis=1).ravel()
+    keep = (length > 0).nonzero()[0]
+    pieces = (np.concatenate((x[rest], y)) for x, y in zip(
+        runs, (dc[keep >> 1], uc[keep >> 1], first[keep], length[keep])))
+    return tuple(pieces), int(taken.sum())
+
+
+def _groups_count(q, rows, include_degenerate):
+    """Distinct shapes whose longest side is one of the rows' d, whole h
+    groups of them: their kept c less those that the maps of `_maps` take
+    to earlier kept c."""
+    (r, p, mirror, a, b, e, mat, den), covers = _maps(q, rows)
+    runs = _runs(q, rows, include_degenerate)
+    kept = int(runs[3].sum())
+    roomy = _roomy(q, rows)
+    if covers[0].size:
+        runs, covered = _uncovered(rows, roomy, runs, covers)
+        kept -= covered
+    if not r.size:
+        return kept
+    d, u, v, size = runs
+    # each piece against each other map of its row: the lattice's c in it
+    # are the steps off, off + e, ... along it, num of them
+    per_row = np.bincount(r, minlength=rows.shape[1])
+    nm = per_row[d]
+    j = np.arange(d.size).repeat(nm)
+    m = np.arange(j.size) + ((per_row.cumsum() - per_row)[d] - (nm.cumsum() - nm)).repeat(nm)
+    e, a, uj = e[m], a[m], u.repeat(nm).astype(np.int64)
+    quo = _floor_div(uj, a)
+    off = quo * b[m] - v.repeat(nm)
+    off -= _floor_div(off, e) * e
+    num = _floor_div(size.repeat(nm) - 1 - off, e) + 1
+    hit = ((num > 0) & (quo * a == uj)).nonzero()[0]
+    j, m, e, off, num = j[hit], m[hit], e[hit], off[hit], num[hit]
+    lo, hi = _taken(rows, roomy, (d[j], u[j].astype(np.int64), v[j] + off, e, num),
+                    (p, mirror, mat, den), m)
+    gone = np.maximum(hi - lo + 1, 0)
+    kept -= int(gone.sum())
+    # a c that two maps take to earlier kept c is one c: in the pieces where
+    # two maps take c, each such c is marked at its place among their c
+    drop = gone.nonzero()[0]
+    twice = drop[np.bincount(j[drop], minlength=d.size)[j[drop]] > 1]
+    if not twice.size:
+        return kept
+    k, e, tj = gone[twice], e[twice], j[twice]
+    many = np.zeros(d.size, dtype=bool)
+    many[tj] = True
+    start = np.where(many, size, 0).cumsum() - size
+    place = e.repeat(k) * np.arange(k.sum())
+    place += (start[tj] + off[twice] + (lo[twice] - k.cumsum() + k) * e).repeat(k)
+    seen = np.zeros(int(size[many].sum()), dtype=bool)
+    seen[place] = True
+    return kept + place.size - int(np.count_nonzero(seen))
 
 
 def _longest_side_chunk(task: tuple) -> int:
     """Distinct shapes whose longest side is one of the task's d.
 
-    A row whose h no other row of the task holds shares no key with another
-    row: `_mirror_count` counts it, unless its mirror period is 1 (R maps
-    (0, 1) into the lattice, as on the square grid's axes and diagonal), so
-    that it would test every c of a run or none and sorting is faster. The
-    other rows keep their keys: keys of one h are contiguous and never equal
-    keys of another h, so each h group is sorted in place on its own and
-    counts 1 plus its adjacent differences.
+    Every row gets one rule: its kept c, less those that a map of `_maps`
+    takes to a kept c of an earlier row of its group or, by its mirror,
+    from X(c) < 0 to X(c) > 0. Such a c has the shape of an earlier kept c,
+    and the earliest kept c of a shape has none, so the count is the
+    group's number of shapes. Only c of the set T, those some map takes to
+    a lattice point, are tested: along a run they are steps off + e i, and
+    those a map takes into its partner's c box a range of i (`_taken`); a c
+    outside T is the earliest of its shape. A row with a map integral on every
+    c, such as the square grid's axes and diagonal under their mirror or
+    the triangular lattice's rows under its 60-degree rotation, has T all
+    its kept c: it first drops that map's range of each run (its cover),
+    and its other maps run on the rest. The task runs in slices of whole h
+    groups of about _SLICE_ROWS c-box u rows, so that the temporaries of
+    `_runs` stay small.
     """
-    q, width, include_degenerate, rows, _ = task
+    q, _, include_degenerate, rows, _ = task
     h = rows[2]
-    new = h[1:] != h[:-1]
-    lone = np.append(True, new) & np.append(new, True) & (_mirror_period(q, rows)[1] > 1)
-    distinct = _mirror_count(q, rows[:, lone], include_degenerate)
-    rows = rows[:, ~lone]
-    if rows.shape[1] == 0:
-        return distinct
-    keys, counts = _side_keys(q, width, rows, include_degenerate)
-    ends = np.cumsum(counts)
-    h = rows[2]
-    ends = ends[np.append(h[1:] != h[:-1], True)].tolist()
-    for lo, hi in zip([0, *ends], ends):
-        keys[lo:hi].sort()
-    total = ends[-1]
-    if total == 0:
-        return distinct
-    differ = keys[1:total] != keys[: total - 1]
-    differ[[e - 1 for e in ends[:-1] if 0 < e < total]] = True
-    return distinct + 1 + int(np.count_nonzero(differ))
+    last = np.flatnonzero(np.append(h[1:] != h[:-1], True))
+    block = np.cumsum(rows[4] - rows[3] + 1)[last] // _SLICE_ROWS
+    cuts = (last[np.append(block[1:] != block[:-1], True)] + 1).tolist()
+    return sum(_groups_count(q, rows[:, lo:hi], include_degenerate)
+               for lo, hi in zip([0, *cuts], cuts))
 
 
 def _delta_chunk(task: tuple) -> np.ndarray:

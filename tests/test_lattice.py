@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtl import keys as packed, lattice
 from dtl.errors import CostGuardExceeded, PreconditionError
@@ -213,13 +214,26 @@ def _symmetries(q, n):
     return [g for g in maps if all(_q(q, *g(*p)) == _q(q, *p) for p in box)]
 
 
+def _run_keys(q, width, rows, include_degenerate=True):
+    """The keys q(c) * 2**width + q(c - d) of the c of the kernel's runs, in
+    `_runs` order, and each row's key count. As q(c - d) = q(c) - L(c) + h,
+    a key is quadratic in v along a run."""
+    qa, qb, qc = q
+    d, u, v, size = (x.astype(np.int64) for x in lattice._runs(q, rows, include_degenerate))
+    du, dv, h = rows[:3, d]
+    m = (1 << width) + 1
+    b = m * qb * u - (qb * du + 2 * qc * dv)
+    c = (m * qa * u - (2 * qa * du + qb * dv)) * u + h
+    cv = np.repeat(v - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    keys = (m * qc * cv + np.repeat(b, size)) * cv + np.repeat(c, size)
+    return keys, np.bincount(d, weights=size, minlength=rows.shape[1]).astype(np.int64)
+
+
 def _kernel_keys(q, width, side, include_degenerate=True):
-    """The kernel's keys for one `_longest_sides` row, in cell order, each
-    re-packed with the row's h as a third field: (q(c), q(c - d), h)."""
-    rows = np.array(side, dtype=np.int64)[:, None]
-    out, sizes = lattice._side_keys(q, width, rows, include_degenerate)
-    size = int(sizes[0])
-    return [(k << width) | side[2] for k in out[:size].tolist()]
+    """The keys of the kept c of one `_longest_sides` row, in cell order,
+    each re-packed with the row's h as a third field: (q(c), q(c - d), h)."""
+    keys, _ = _run_keys(q, width, np.array(side, dtype=np.int64)[:, None], include_degenerate)
+    return [(k << width) | side[2] for k in keys.tolist()]
 
 
 def _box_shapes(q, side, include_degenerate):
@@ -241,11 +255,90 @@ def test_runs_have_exact_ends_at_the_widest_fields(q, deg):
     n = 300
     width = lattice._field_width(n, *q)
     rows = lattice._longest_sides(n, q)[:, -50:]
-    out, sizes = lattice._side_keys(q, width, rows, deg)
+    out, sizes = _run_keys(q, width, rows, deg)
     keys = np.split(out[: sizes.sum()], np.cumsum(sizes)[:-1])
     for side, got in zip(rows.T.tolist(), keys):
         qc, qcd = _box_shapes(q, side, deg)
         assert got.tolist() == ((qc << width) | qcd).tolist()
+
+
+@pytest.mark.parametrize("q", [(1, 0, 1), (1, 1, 1), (2, 1, 3), (1, -1, 3)])
+@pytest.mark.parametrize("deg", [True, False])
+def test_taken_ranges_are_exact_at_the_widest_fields(q, deg):
+    # At n = 300, h < 2**21 as the key width guard allows, the numerators
+    # mat c of rho reach 2**34 and mat e 2**45: int64 in the kernel, divided
+    # in floats. The image is linear in the step, so the range `_taken`
+    # gives is exact iff its ends are in the partner's box (and, for a
+    # mirror, have X(c) < 0) and the steps just outside are not: checked
+    # here with Python ints. The largest h have the boxes the region cuts,
+    # the ones the kernel tests.
+    n = 300
+    rows = lattice._longest_sides(n, q)[:, -150:]
+    maps, covers = lattice._maps(q, rows)
+    one = np.ones(covers[0].size, dtype=np.int64)
+    r, p, mirror, a, b, e, n4, den = (np.concatenate(x, axis=-1) for x in zip(
+        maps, (*covers[:3], one, 0 * one, one, covers[3], one)))
+    of_row = {}
+    for m, row in enumerate(r.tolist()):
+        of_row.setdefault(row, []).append((m, int(a[m]), int(b[m]), int(e[m])))
+    pairs = []
+    for row, u, v, size in zip(*(x.tolist() for x in lattice._runs(q, rows, deg))):
+        for m, am, bm, em in of_row.get(row, []):
+            off = (u // am * bm - v) % em
+            if u % am == 0 and off < size:
+                pairs.append((row, u, v + off, (size - 1 - off) // em + 1, m))
+    assert len(pairs) > 300
+    row, u, v, num, m = (np.array(x, dtype=np.int64) for x in zip(*pairs))
+    roomy = lattice._roomy(q, rows)
+    assert np.count_nonzero(~roomy[p[m]]) > 300
+    lo, hi = lattice._taken(rows, roomy, (row, u, v, e[m], num), (p, mirror, n4, den), m)
+    sides = rows.T.tolist()
+    taken = 0
+    for (row, u, v, num, m), first, last in zip(pairs, lo.tolist(), hi.tolist()):
+        step, (n00, n01, n10, n11), dd = int(e[m]), n4[:, m].tolist(), int(den[m])
+        du, dv, *_ = sides[row]
+        u0, u1, v0, v1 = sides[int(p[m])][3:]
+
+        def inside(i):
+            cv = v + i * step
+            x, y = n00 * u + n01 * cv, n10 * u + n11 * cv
+            assert x % dd == y % dd == 0
+            in_box = u0 <= x // dd <= u1 and v0 <= y // dd <= v1
+            return in_box and (not mirror[m] or du * cv - dv * u < 0)
+
+        if first <= last:
+            taken += 1
+            assert inside(first) and inside(last)
+            assert first == 0 or not inside(first - 1)
+            assert last == num - 1 or not inside(last + 1)
+        else:
+            assert not any(inside(i) for i in range(num))
+    assert taken > 20
+
+
+@pytest.mark.parametrize(
+    "q, n", [((5000, 1, 5000), 12), ((3, -2, 700), 12), ((9000, 8999, 9000), 8)]
+)
+def test_census_matches_general_path_on_wide_forms(q, n):
+    # coefficients near the key width guard at small n
+    gram = GramForm(*q)
+    for deg in (True, False):
+        got = census(LatticeKind.general(gram), n, deg).distinct
+        assert got == general_lattice_census(gram, n, deg).distinct
+
+
+@st.composite
+def _forms(draw):
+    a, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    b = draw(st.integers(-6, 6).filter(lambda b: b * b < 4 * a * c))
+    return a, b, c
+
+
+@given(_forms(), st.integers(2, 6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_census_matches_oracle_on_random_forms(q, n, deg):
+    kind = LatticeKind.general(GramForm(*q))
+    assert census(kind, n, deg).distinct == all_triples_census(n, kind, deg).distinct
 
 
 def test_wide_fields_take_int64_keys():
@@ -430,17 +523,73 @@ def test_task_count_is_its_distinct_keys(monkeypatch, deg):
 @pytest.mark.parametrize("q", [*G_ORDERS, (1, -1, 3), (1, 0, 3)])
 @pytest.mark.parametrize("deg", [True, False])
 def test_mirror_count_is_each_rows_distinct_keys(q, deg):
-    # The mirror rule holds for any one row, lone or not, whatever its mirror
-    # period: its distinct keys are its kept c less its mirror pairs.
+    # Any one row counted as a group of its own, so by its mirror alone,
+    # lone or not, has as many shapes as its distinct keys: its kept c less
+    # those the mirror takes from X(c) < 0 to a kept c with X(c) > 0.
     paired = 0
     for n in range(2, 11):
         width = lattice._field_width(n, *q)
         for side in lattice._longest_sides(n, q).T.tolist():
-            keys = _kernel_keys(q, width, side, deg)
-            got = lattice._mirror_count(q, np.array(side, dtype=np.int64)[:, None], deg)
-            assert got == len(set(keys)), (n, side)
-            paired += len(keys) - got
+            qc, qcd = _box_shapes(q, side, deg)
+            row = np.array(side, dtype=np.int64)[:, None]
+            got = lattice._longest_side_chunk((q, width, deg, row, 0))
+            assert got == len(set(zip(qc.tolist(), qcd.tolist()))), (n, side)
+            paired += qc.size - got
     assert paired > 0
+
+
+def _kept(q, side, deg):
+    """The kept c of one `_longest_sides` row, from a plain scan of its c box."""
+    du, dv, h, u0, u1, v0, v1 = side
+    cu, cv = np.meshgrid(np.arange(u0, u1 + 1), np.arange(v0, v1 + 1), indexing="ij")
+    qc, qcd = _q(q, cu, cv), _q(q, cu - du, cv - dv)
+    keep = (0 < qc) & (qc <= qcd) & (qcd <= h) & (deg | (dv * cu != du * cv))
+    return set(zip(cu[keep].tolist(), cv[keep].tolist()))
+
+
+@pytest.mark.parametrize("q", [*G_ORDERS, (1, -1, 3), (1, 0, 3)])
+@pytest.mark.parametrize("deg", [True, False])
+def test_group_count_is_its_distinct_keys(monkeypatch, q, deg):
+    # One task per h group. A kept c counts unless a map of `_maps` takes it
+    # (c in the map's lattice, or any c for a cover) to a kept c of its
+    # partner row, which must be earlier, or, for a mirror, from X(c) < 0.
+    # Checked in plain Python: the counted c hold pairwise different keys,
+    # every shape of the group is counted, and the kernel gives that count.
+    monkeypatch.setattr(lattice, "_TASK_KEYS", 0)
+    across = 0
+    for n in range(2, 11):
+        for task in _tasks(n, q, deg):
+            rows = task[3]
+            sides = rows.T.tolist()
+            kept = [_kept(q, side, deg) for side in sides]
+            maps, covers = lattice._maps(q, rows)
+            lattices = [[] for _ in sides]
+            columns = (x.tolist() for x in (*maps[:6], maps[6].T, maps[7]))
+            for r, p, mirror, a, b, e, n4, den in zip(*columns):
+                lattices[r].append((p, mirror, a, b, e, n4, den))
+            for r, p, mirror, n4 in zip(*(x.tolist() for x in (*covers[:3], covers[3].T))):
+                lattices[r].append((p, mirror, 1, 0, 1, n4, 1))
+            counted = []
+            for r, (du, dv, h, *_) in enumerate(sides):
+                for cu, cv in kept[r]:
+                    taken = False
+                    for p, mirror, a, b, e, (n00, n01, n10, n11), den in lattices[r]:
+                        assert p <= r and mirror == (p == r)
+                        if cu % a or (cv - cu // a * b) % e:
+                            continue
+                        image = (n00 * cu + n01 * cv, n10 * cu + n11 * cv)
+                        assert image[0] % den == image[1] % den == 0
+                        image = (image[0] // den, image[1] // den)
+                        if image in kept[p] and (not mirror or du * cv - dv * cu < 0):
+                            taken = True
+                            across += p != r
+                    if not taken:
+                        counted.append((h, _q(q, cu, cv), _q(q, cu - du, cv - dv)))
+            keys = {(h, _q(q, cu, cv), _q(q, cu - du, cv - dv))
+                    for (du, dv, h, *_), c in zip(sides, kept) for cu, cv in c}
+            assert len(counted) == len(set(counted)) == len(keys)
+            assert lattice._longest_side_chunk(task) == len(keys)
+    assert across > 0
 
 
 def test_memory_guard_refuses_before_any_task_runs(monkeypatch):
@@ -471,13 +620,13 @@ def test_memory_guard_refuses_before_any_task_runs(monkeypatch):
 
 
 def test_key_buffer_holds_exactly_the_kept_keys():
-    # For every task, the buffer is as long as the kept c counted over the
-    # whole c boxes with plain numpy, shorter than the cells the guard
+    # For every task, the runs hold as many c as the kept c counted over the
+    # whole c boxes with plain numpy, fewer than the cells the guard
     # charges, and the task's traced peak stays within that charge.
     q = (1, 1, 1)
     for task in _tasks(64, q, False):
         _, width, deg, rows, cells = task
-        keys, counts = lattice._side_keys(q, width, rows, deg)
+        keys, counts = _run_keys(q, width, rows, deg)
         kept = sum(_box_shapes(q, side, deg)[0].size for side in rows.T.tolist())
         assert keys.size == counts.sum() == kept < cells
         tracemalloc.start()
