@@ -29,6 +29,7 @@ from .rotation import (
     PythTriple,
     RotatableBreakdown,
     constant_sum,
+    count_primitive_triples,
     count_rotatable_points,
     count_rotatable_triangles,
     enum_primitive_triples,

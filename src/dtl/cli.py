@@ -34,6 +34,7 @@ from .rotation import (
     PythTriple,
     constant_sum,
     count_rotatable_points,
+    count_primitive_triples,
     count_rotatable_triangles,
     enum_primitive_triples,
     lemma32_bound_check,
@@ -371,9 +372,9 @@ def _cmd_pointset(args) -> list[str]:
 
 
 def _cmd_triples(args) -> list[str]:
-    triples = enum_primitive_triples(args.max_r)
     if args.count_only:
-        return [str(len(triples))]
+        return [str(count_primitive_triples(args.max_r))]
+    triples = enum_primitive_triples(args.max_r)
     return ["p,q,r", *(f"{t.p},{t.q},{t.r}" for t in triples), f"# count,{len(triples)}"]
 
 

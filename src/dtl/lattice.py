@@ -19,6 +19,9 @@ So each task counts its kept c less those (`_longest_side_chunk`), with no
 shape keys: rho(c) is integral on a sublattice of the c (`_maps`), whose c
 along a run are an arithmetic progression, and those that rho takes into
 the c box of d', so to kept c of d', are one range of it (`_taken`).
+A task is whole h groups of about _TASK_ROWS c-box u rows, which one
+process evaluates in one pass; before any runs, the census charges each
+task bytes per c-box u row and cell (`_task_bytes`) against its budget.
 `general_lattice_census` keeps the translation-only enumeration of vertex
 pairs, an independent check, with the three sorted squared sides packed
 into one int64 by `keys`.
@@ -40,20 +43,18 @@ from .keys import key_width, nonzero_area, pack_sorted, sorted_unique
 
 # The largest n the all-triples oracle runs at.
 ORACLE_LIMIT = 8
-# Cells of the c boxes per census task; fixed, so the task list does not
-# depend on workers.
-_TASK_KEYS = 1_000_000
+# c-box u rows per census task, evaluated at once; fixed, so the task list
+# does not depend on workers.
+_TASK_ROWS = 8000
 # Bytes a longest-side census may hold at once over all its processes;
 # checked before any task runs (`_check_memory`).
 _MEMORY_BUDGET = 2 << 30
-# `_task_bytes` charges a key per c-box cell, two batches of _BATCH_KEYS keys
-# and _ROW_BYTES per c-box u row: well over what a task holds, the
-# temporaries of `_runs` (about 100 bytes per c-box u row of a slice under
-# tracemalloc) and of its maps.
-_BATCH_KEYS = 1 << 16
-_ROW_BYTES = 200
-# c-box u rows of a slice of a task, evaluated at once.
-_SLICE_ROWS = 14000
+# `_task_bytes` charges _ROW_BYTES per c-box u row and _CELL_BYTES per c-box
+# cell: over what a task holds, the temporaries of `_runs` and of the
+# progressions of its maps (under tracemalloc at most 0.7 of the charge on
+# the censuses of `test_task_peak_stays_within_its_charge`).
+_ROW_BYTES = 600
+_CELL_BYTES = 1
 # More steps than any run has.
 _FAR = 1 << 40
 
@@ -186,40 +187,34 @@ def _longest_sides(n: int, q: tuple[int, int, int]):
                      np.maximum(dv, 0) - rv, np.minimum(dv, 0) + rv))
 
 
-def _longest_side_tasks(n: int, q: tuple, width: int, include_degenerate: bool) -> list:
-    """Tasks (q, width, include_degenerate, rows, cells): runs of whole h groups
-    of the h-sorted `_longest_sides` rows, closed once their c boxes hold
-    _TASK_KEYS cells. Triangles with different h never have one shape, so
+def _longest_side_tasks(n: int, q: tuple, include_degenerate: bool) -> list:
+    """Tasks (q, include_degenerate, rows): runs of whole h groups of the
+    h-sorted `_longest_sides` rows, closed once their c boxes hold
+    _TASK_ROWS u rows. Triangles with different h never have one shape, so
     the tasks' counts add up. The split depends on n and q only."""
     rows = _longest_sides(n, q)
-    cells, h = ((rows[4] - rows[3] + 1) * (rows[6] - rows[5] + 1)).tolist(), rows[2].tolist()
+    urows, h = (rows[4] - rows[3] + 1).tolist(), rows[2].tolist()
     tasks, lo, load = [], 0, 0
     for i in range(1, len(h) + 1):
-        load += cells[i - 1]
-        if i == len(h) or (h[i] != h[i - 1] and load >= _TASK_KEYS):
-            tasks.append((q, width, include_degenerate, rows[:, lo:i], load))
+        load += urows[i - 1]
+        if i == len(h) or (h[i] != h[i - 1] and load >= _TASK_ROWS):
+            tasks.append((q, include_degenerate, rows[:, lo:i]))
             lo, load = i, 0
     return tasks
 
 
-def _key_dtype(width: int):
-    """The type of a key of two fields of `width` bits, as `_task_bytes`
-    charges it."""
-    return np.uint32 if 2 * width <= 32 else np.int64
-
-
 def _task_bytes(task: tuple) -> int:
-    """A bound on the bytes a task holds at once: a key per c-box cell, two
-    batches of keys and _ROW_BYTES per c-box u row (see _BATCH_KEYS)."""
-    _, width, _, rows, cells = task
-    return (np.dtype(_key_dtype(width)).itemsize * (cells + 4 * _BATCH_KEYS)
-            + _ROW_BYTES * int((rows[4] - rows[3] + 1).sum()))
+    """A bound on the bytes a task holds at once, from its c boxes alone:
+    _ROW_BYTES per u row and _CELL_BYTES per cell."""
+    _, _, (_, _, _, u0, u1, v0, v1) = task
+    urows = u1 - u0 + 1
+    return int((urows * (_ROW_BYTES + _CELL_BYTES * (v1 - v0 + 1))).sum())
 
 
 def _check_memory(tasks: list[tuple], workers: int) -> None:
     """Raise CostGuardExceeded when the processes that run the tasks, each
     holding at most `_task_bytes` of its largest task, could exceed
-    _MEMORY_BUDGET. The charge counts c-box cells and rows, known before the
+    _MEMORY_BUDGET. The charge counts c-box rows and cells, known before the
     runs are."""
     pool = max(1, min(workers, len(tasks)))
     peak = pool * max(map(_task_bytes, tasks))
@@ -470,10 +465,24 @@ def _uncovered(rows, roomy, runs, covers):
     return tuple(pieces), int(taken.sum())
 
 
-def _groups_count(q, rows, include_degenerate):
-    """Distinct shapes whose longest side is one of the rows' d, whole h
-    groups of them: their kept c less those that the maps of `_maps` take
-    to earlier kept c."""
+def _longest_side_chunk(task: tuple) -> int:
+    """Distinct shapes whose longest side is one of the task's d, whole h
+    groups of them, evaluated at once.
+
+    Every row gets one rule: its kept c, less those that a map of `_maps`
+    takes to a kept c of an earlier row of its group or, by its mirror,
+    from X(c) < 0 to X(c) > 0. Such a c has the shape of an earlier kept c,
+    and the earliest kept c of a shape has none, so the count is the
+    group's number of shapes. Only c of the set T, those some map takes to
+    a lattice point, are tested: along a run they are steps off + e i, and
+    those a map takes into its partner's c box a range of i (`_taken`); a c
+    outside T is the earliest of its shape. A row with a map integral on every
+    c, such as the square grid's axes and diagonal under their mirror or
+    the triangular lattice's rows under its 60-degree rotation, has T all
+    its kept c: it first drops that map's range of each run (its cover),
+    and its other maps run on the rest.
+    """
+    q, include_degenerate, rows = task
     (r, p, mirror, a, b, e, mat, den), covers = _maps(q, rows)
     runs = _runs(q, rows, include_degenerate)
     kept = int(runs[3].sum())
@@ -516,33 +525,6 @@ def _groups_count(q, rows, include_degenerate):
     seen = np.zeros(int(size[many].sum()), dtype=bool)
     seen[place] = True
     return kept + place.size - int(np.count_nonzero(seen))
-
-
-def _longest_side_chunk(task: tuple) -> int:
-    """Distinct shapes whose longest side is one of the task's d.
-
-    Every row gets one rule: its kept c, less those that a map of `_maps`
-    takes to a kept c of an earlier row of its group or, by its mirror,
-    from X(c) < 0 to X(c) > 0. Such a c has the shape of an earlier kept c,
-    and the earliest kept c of a shape has none, so the count is the
-    group's number of shapes. Only c of the set T, those some map takes to
-    a lattice point, are tested: along a run they are steps off + e i, and
-    those a map takes into its partner's c box a range of i (`_taken`); a c
-    outside T is the earliest of its shape. A row with a map integral on every
-    c, such as the square grid's axes and diagonal under their mirror or
-    the triangular lattice's rows under its 60-degree rotation, has T all
-    its kept c: it first drops that map's range of each run (its cover),
-    and its other maps run on the rest. The task runs in slices of whole h
-    groups of about _SLICE_ROWS c-box u rows, so that the temporaries of
-    `_runs` stay small.
-    """
-    q, _, include_degenerate, rows, _ = task
-    h = rows[2]
-    last = np.flatnonzero(np.append(h[1:] != h[:-1], True))
-    block = np.cumsum(rows[4] - rows[3] + 1)[last] // _SLICE_ROWS
-    cuts = (last[np.append(block[1:] != block[:-1], True)] + 1).tolist()
-    return sum(_groups_count(q, rows[:, lo:hi], include_degenerate)
-               for lo, hi in zip([0, *cuts], cuts))
 
 
 def _delta_chunk(task: tuple) -> np.ndarray:
@@ -596,7 +578,8 @@ def _census(kind: LatticeKind, n: int, include_degenerate: bool, workers: int) -
         raise PreconditionError(f"{kind.name} census needs n >= 2")
     t0 = time.monotonic()
     q = kind.gram.integer_scaled()
-    tasks = _longest_side_tasks(n, q, _field_width(n, *q), include_degenerate)
+    _field_width(n, *q)  # refuses a form too wide for the int32 and float arithmetic
+    tasks = _longest_side_tasks(n, q, include_degenerate)
     _check_memory(tasks, workers)
     distinct, used = _run_chunks(tasks, workers)
     return ShapeCensus(

@@ -1,6 +1,6 @@
 """Readers for the point-set and distance-matrix text formats.
 
-Exact point set:        dtl-pointset v1 D=<square-free positive integer>
+Exact point set:        dtl-pointset v1 D=<square-free positive integer <= 10^12>
                         p <x_rat> <x_rad> <y_rat> <y_rad>     (reduced fractions)
 Float point set:        dtl-pointset v1 float
                         p <x> <y>
@@ -25,6 +25,10 @@ from .geometry import (
     ground_set_from_points,
 )
 
+# The largest header D: `is_square_free` tries divisors up to sqrt(D), which
+# takes about 0.15 s once at 10**12.
+DISC_LIMIT = 10**12
+
 
 def _frac(tok: str, path: str, lineno: int) -> Fraction:
     try:
@@ -47,7 +51,7 @@ def load_point_file(
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read {path}: {e}") from e
     # (1-based file line, stripped text) of each line that is not blank or a comment
     lines = [(i, ln.strip()) for i, ln in enumerate(lines, start=1)]
@@ -85,6 +89,8 @@ def _parse_disc(tok: str, path: str, lineno: int) -> int:
         d = int(tok[2:])
     except ValueError as e:
         raise FormatError(f"{path}:{lineno}: bad discriminant {tok!r}") from e
+    if d > DISC_LIMIT:
+        raise FormatError(f"{path}:{lineno}: discriminant {d} is over the limit of {DISC_LIMIT}")
     if not is_square_free(d):
         raise FormatError(f"{path}:{lineno}: discriminant {d} is not square-free positive")
     return d

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import DiscriminantMismatch
@@ -18,7 +19,10 @@ from .errors import DiscriminantMismatch
 RatLike = Union[int, Fraction]
 
 
+@lru_cache(maxsize=64)
 def is_square_free(d: int) -> bool:
+    """Whether d is a positive square-free integer, by trial division up to
+    sqrt(d); cached, so each `QScalar` field is checked once."""
     if d <= 0:
         return False
     k = 2

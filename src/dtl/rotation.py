@@ -42,6 +42,9 @@ Triangle = frozenset  # of Point, always containing the origin
 ORIGIN: Point = (0, 0)
 ROTATABLE_TRIANGLE_LIMIT = 64
 MINIMALITY_LIMIT = 12
+# The largest max_r `enum_primitive_triples` lists: its PythTriple objects
+# take about 100 MB per 10^6 of max_r.
+TRIPLE_LIST_LIMIT = 10**7
 _INT64_MAX_R = isqrt(2**63 - 1)  # the largest r whose r^2 fits in int64
 _TRIPLE_CELLS = 1 << 16  # (m, n) cells per block of `_triple_arrays`
 _PAIR_BLOCK = 1 << 13  # pairs per block of the passes over the pair table
@@ -127,12 +130,23 @@ def _both_leg_orders(max_r: int):
 def enum_primitive_triples(max_r: int) -> list[PythTriple]:
     """All primitive triples with hypotenuse <= max_r, both leg orders,
     sorted by (r, p). Generated from coprime m > n >= 1 of opposite parity
-    via (m^2 - n^2, 2mn, m^2 + n^2)."""
+    via (m^2 - n^2, 2mn, m^2 + n^2). Refuses a max_r above
+    TRIPLE_LIST_LIMIT before any triple is built."""
     if max_r < 5:
         raise PreconditionError("max_r must be at least 5")
+    if max_r > TRIPLE_LIST_LIMIT:
+        raise CostGuardExceeded(f"triple list refused for max_r={max_r} > {TRIPLE_LIST_LIMIT}")
     p, q, r = _both_leg_orders(max_r)
     order = np.lexsort((p, r))
     return [PythTriple(*t) for t in zip(*(a[order].tolist() for a in (p, q, r)))]
+
+
+def count_primitive_triples(max_r: int) -> int:
+    """len(enum_primitive_triples(max_r)), from the generator's blocks, with
+    no triple built."""
+    if max_r < 5:
+        raise PreconditionError("max_r must be at least 5")
+    return 2 * sum(r.size for _, _, r in _triple_arrays(max_r))
 
 
 def rotate_exact(pt: Point, t: PythTriple) -> Point | None:

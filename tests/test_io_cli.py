@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dtl
-from dtl import cli, lattice
+from dtl import cli, lattice, pointset_io, rotation
 from dtl.cli import run
 from dtl.errors import FormatError
 from dtl.pointset_io import load_point_file
@@ -181,6 +181,28 @@ def test_cli_triples(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "p,q,r"
     assert out[1:5] == ["3,4,5", "4,3,5", "5,12,13", "12,5,13"]
+
+
+def test_cli_triples_count_only_is_the_listed_count(capsys):
+    for max_r in ("5", "13", "5000"):
+        assert run(["triples", "--max-r", max_r]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert run(["triples", "--max-r", max_r, "--count-only"]) == 0
+        assert capsys.readouterr().out == listed[-1].removeprefix("# count,") + "\n"
+    assert run(["triples", "--max-r", "4", "--count-only"]) == 1
+    assert capsys.readouterr().err == "error: max_r must be at least 5\n"
+
+
+def test_cli_triples_refuses_a_long_list(capsys, monkeypatch):
+    def unbuilt(max_r):
+        raise AssertionError("triples built")
+
+    monkeypatch.setattr(rotation, "_triple_arrays", unbuilt)
+    assert run(["triples", "--max-r", str(rotation.TRIPLE_LIST_LIMIT + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: triple list refused for max_r={rotation.TRIPLE_LIST_LIMIT + 1} "
+        f"> {rotation.TRIPLE_LIST_LIMIT}\n")
 
 
 def test_cli_rotatable(capsys):
@@ -534,6 +556,37 @@ def test_cli_manifest_digest_is_the_input_sha256(hex_file, tmp_path, capsys, com
     assert capsys.readouterr().out == ""
     manifest = json.loads(out.with_name("payload.manifest.json").read_text())
     assert manifest["input_digest"] == hashlib.sha256(hex_file.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", [["pointset", "--file"], ["search", "--k", "2", "--ground"]],
+                         ids=["pointset", "search"])
+def test_cli_non_utf8_input_is_one_error_line(tmp_path, capsys, command):
+    # a UTF-16 file starts with the bytes ff fe
+    f = tmp_path / "utf16.dtl"
+    f.write_bytes(HEX_TEXT.encode("utf-16"))
+    assert f.read_bytes()[:2] == b"\xff\xfe"
+    spec = f"file:{f}" if command[0] == "search" else str(f)
+    assert run(command + [spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {f}: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["pointset", "--file"], ["search", "--k", "2", "--ground"]],
+                         ids=["pointset", "search"])
+def test_cli_refuses_a_disc_over_the_limit(tmp_path, capsys, command, monkeypatch):
+    def unchecked(d):
+        raise AssertionError("square-free check ran")
+
+    monkeypatch.setattr(pointset_io, "is_square_free", unchecked)
+    f = tmp_path / "wide.dtl"
+    f.write_text(HEX_TEXT.replace("D=3", f"D={pointset_io.DISC_LIMIT + 39}"))
+    spec = f"file:{f}" if command[0] == "search" else str(f)
+    assert run(command + [spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: {f}:1: discriminant {pointset_io.DISC_LIMIT + 39} "
+        f"is over the limit of {pointset_io.DISC_LIMIT}\n")
 
 
 def test_cli_unreadable_input_names_the_file(tmp_path, capsys):

@@ -32,7 +32,7 @@ TRIANGULAR = LatticeKind.triangular()
 
 def _tasks(n, q, include_degenerate=True):
     """The longest-side census tasks of the n x n region of form q."""
-    return lattice._longest_side_tasks(n, q, lattice._field_width(n, *q), include_degenerate)
+    return lattice._longest_side_tasks(n, q, include_degenerate)
 
 
 # Frozen oracle values (all_triples_census is the generator; see the
@@ -132,10 +132,10 @@ def start_method(request):
 
 
 def test_determinism_across_workers(start_method):
-    # Each input has several tasks (9 for the grid, 20 for the triangle), so
+    # Each input has several tasks (14 for the grid, 29 for the triangle), so
     # workers > 1 starts a pool. The counts are the single-process results.
-    assert len(_tasks(64, (1, 0, 1), True)) == 9
-    assert len(_tasks(64, (1, 1, 1), False)) == 20
+    assert len(_tasks(64, (1, 0, 1), True)) == 14
+    assert len(_tasks(64, (1, 1, 1), False)) == 29
     for w in (1, 2, 8):
         assert grid_census(64, workers=w).distinct == 2_933_509
         assert tri_lattice_census(64, False, workers=w).distinct == 3_651_133
@@ -166,18 +166,18 @@ def pool_sizes(monkeypatch):
 
 
 def test_pool_size_capped_at_task_count(pool_sizes):
-    # tri_lattice_census(64) has 20 tasks; a pool asked for 24 workers would
-    # start 24 processes under fork.
-    assert len(_tasks(64, (1, 1, 1), False)) == 20
-    assert tri_lattice_census(64, False, workers=24).distinct == 3_651_133
-    assert pool_sizes == [20]
+    # tri_lattice_census(64) has 29 tasks; a pool asked for 32 workers would
+    # start 32 processes under fork.
+    assert len(_tasks(64, (1, 1, 1), False)) == 29
+    assert tri_lattice_census(64, False, workers=32).distinct == 3_651_133
+    assert pool_sizes == [29]
 
 
 def test_census_reports_processes_used(pool_sizes):
-    assert tri_lattice_census(64, workers=24).workers == 20
+    assert tri_lattice_census(64, workers=32).workers == 29
     # grid_census(5) has one task, so it runs serially
     assert grid_census(5, workers=4).workers == 1
-    assert pool_sizes == [20]
+    assert pool_sizes == [29]
 
 
 def test_task_list_does_not_depend_on_workers(pool_sizes, monkeypatch):
@@ -190,10 +190,10 @@ def test_task_list_does_not_depend_on_workers(pool_sizes, monkeypatch):
 
     monkeypatch.setattr(lattice, "_run_chunks", recording)
     for w in (1, 2, 32):
-        assert tri_lattice_census(64, workers=w).workers == min(w, 20)
-    seen = [[(*t[:3], t[3].tolist()) for t in tasks] for tasks in seen]
-    assert len(seen[0]) == 20 and seen[0] == seen[1] == seen[2]
-    assert pool_sizes == [2, 20]
+        assert tri_lattice_census(64, workers=w).workers == min(w, 29)
+    seen = [[(*t[:2], t[2].tolist()) for t in tasks] for tasks in seen]
+    assert len(seen[0]) == 29 and seen[0] == seen[1] == seen[2]
+    assert pool_sizes == [2, 29]
 
 
 # The four shapes of the group G of signed coordinate permutations that keep a
@@ -342,14 +342,13 @@ def test_census_matches_oracle_on_random_forms(q, n, deg):
 
 
 def test_wide_fields_take_int64_keys():
-    # 2w = 34 bits; in uint32 the keys of the task that holds h = 53,248
-    # would wrap and count 54 shapes too few.
+    # At n = 200 two fields of (q(c), q(c - d)) take 2w = 34 bits, past 32;
+    # the task that holds h = 53,248 counts the shapes of a plain c-box scan.
     n, q = 200, (1, 0, 1)
-    width = lattice._field_width(n, *q)
-    assert 2 * width == 34 and lattice._key_dtype(width) is np.int64
-    (task,) = [t for t in _tasks(n, q) if 53_248 in t[3][2]]
+    assert 2 * lattice._field_width(n, *q) == 34
+    (task,) = [t for t in _tasks(n, q) if 53_248 in t[2][2]]
     shapes = set()
-    for side in task[3].T.tolist():
+    for side in task[2].T.tolist():
         qc, qcd = _box_shapes(q, side, True)
         shapes.update(zip([side[2]] * qc.size, qc.tolist(), qcd.tolist()))
     assert lattice._longest_side_chunk(task) == len(shapes)
@@ -462,7 +461,7 @@ def test_key_width_refuses_fields_past_21_bits():
 @pytest.mark.parametrize("deg", [True, False])
 def test_small_chunks_match_general_path(monkeypatch, deg):
     # A zero budget makes every h group its own task.
-    monkeypatch.setattr(lattice, "_TASK_KEYS", 0)
+    monkeypatch.setattr(lattice, "_TASK_ROWS", 0)
     for q in G_ORDERS:
         h = lattice._longest_sides(12, q)[2]
         assert len(_tasks(12, q, deg)) == len(set(h.tolist()))
@@ -478,13 +477,13 @@ def test_small_chunks_match_general_path(monkeypatch, deg):
 )
 def test_no_h_group_split_across_tasks(monkeypatch, n, q, budget):
     if budget is not None:
-        monkeypatch.setattr(lattice, "_TASK_KEYS", budget)
+        monkeypatch.setattr(lattice, "_TASK_ROWS", budget)
     rows = lattice._longest_sides(n, q)
     tasks = _tasks(n, q, True)
     assert len(tasks) >= 2
     # the tasks hold the rows in order, each row once
-    assert np.array_equal(np.hstack([t[3] for t in tasks]), rows)
-    h = [t[3][2].tolist() for t in tasks]
+    assert np.array_equal(np.hstack([t[2] for t in tasks]), rows)
+    h = [t[2][2].tolist() for t in tasks]
     assert all(a[-1] < b[0] for a, b in zip(h, h[1:]))
 
 
@@ -506,12 +505,13 @@ def test_collinear_mask_drops_exactly_the_zero_area_keys(q):
 @pytest.mark.parametrize("deg", [True, False])
 def test_task_count_is_its_distinct_keys(monkeypatch, deg):
     # A zero budget gives one task per h group, some of them with no keys.
-    monkeypatch.setattr(lattice, "_TASK_KEYS", 0)
+    monkeypatch.setattr(lattice, "_TASK_ROWS", 0)
     empty = 0
     for q in [*G_ORDERS, (1, -1, 3)]:
         counts = []
+        width = lattice._field_width(8, *q)
         for task in _tasks(8, q, deg):
-            keys = [k for side in task[3].T.tolist() for k in _kernel_keys(q, task[1], side, deg)]
+            keys = [k for side in task[2].T.tolist() for k in _kernel_keys(q, width, side, deg)]
             unique = packed.sorted_unique([np.array(keys, dtype=np.int64)])
             assert lattice._longest_side_chunk(task) == unique.size == len(set(keys))
             counts.append(len(set(keys)))
@@ -528,11 +528,10 @@ def test_mirror_count_is_each_rows_distinct_keys(q, deg):
     # those the mirror takes from X(c) < 0 to a kept c with X(c) > 0.
     paired = 0
     for n in range(2, 11):
-        width = lattice._field_width(n, *q)
         for side in lattice._longest_sides(n, q).T.tolist():
             qc, qcd = _box_shapes(q, side, deg)
             row = np.array(side, dtype=np.int64)[:, None]
-            got = lattice._longest_side_chunk((q, width, deg, row, 0))
+            got = lattice._longest_side_chunk((q, deg, row))
             assert got == len(set(zip(qc.tolist(), qcd.tolist()))), (n, side)
             paired += qc.size - got
     assert paired > 0
@@ -555,11 +554,11 @@ def test_group_count_is_its_distinct_keys(monkeypatch, q, deg):
     # partner row, which must be earlier, or, for a mirror, from X(c) < 0.
     # Checked in plain Python: the counted c hold pairwise different keys,
     # every shape of the group is counted, and the kernel gives that count.
-    monkeypatch.setattr(lattice, "_TASK_KEYS", 0)
+    monkeypatch.setattr(lattice, "_TASK_ROWS", 0)
     across = 0
     for n in range(2, 11):
         for task in _tasks(n, q, deg):
-            rows = task[3]
+            rows = task[2]
             sides = rows.T.tolist()
             kept = [_kept(q, side, deg) for side in sides]
             maps, covers = lattice._maps(q, rows)
@@ -592,19 +591,31 @@ def test_group_count_is_its_distinct_keys(monkeypatch, q, deg):
     assert across > 0
 
 
+def _box_sizes(task):
+    """The c-box u rows and cells of a task."""
+    boxes = [(u1 - u0 + 1, v1 - v0 + 1) for *_, u0, u1, v0, v1 in task[2].T.tolist()]
+    return sum(u for u, _ in boxes), sum(u * v for u, v in boxes)
+
+
+def _traced_peak(task):
+    tracemalloc.start()
+    try:
+        lattice._longest_side_chunk(task)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_guard_refuses_before_any_task_runs(monkeypatch):
     ran = []
     real = lattice._longest_side_chunk
     monkeypatch.setattr(lattice, "_longest_side_chunk", lambda task: ran.append(task) or real(task))
     tasks = _tasks(64, (1, 1, 1), False)
-    boxes = [[(u1 - u0 + 1) * (v1 - v0 + 1) for *_, u0, u1, v0, v1 in t[3].T.tolist()]
-             for t in tasks]
-    assert [t[4] for t in tasks] == [sum(b) for b in boxes]  # the cells the guard charges
-    urows = [sum(u1 - u0 + 1 for *_, u0, u1, _, _ in t[3].T.tolist()) for t in tasks]
-    # uint32 keys: one per cell, two batches, and the temporaries of the u rows
-    assert lattice._key_dtype(tasks[0][1]) is np.uint32
-    one = max(4 * (sum(b) + 4 * lattice._BATCH_KEYS) + lattice._ROW_BYTES * r
-              for b, r in zip(boxes, urows))
+    # the charge of a task: bytes per c-box u row and per c-box cell
+    charges = [lattice._ROW_BYTES * urows + lattice._CELL_BYTES * cells
+               for urows, cells in map(_box_sizes, tasks)]
+    assert charges == [lattice._task_bytes(t) for t in tasks]
+    one = max(charges)
     # one process fits the budget, two do not
     monkeypatch.setattr(lattice, "_MEMORY_BUDGET", one)
     with pytest.raises(CostGuardExceeded, match="pool of 2"):
@@ -621,21 +632,31 @@ def test_memory_guard_refuses_before_any_task_runs(monkeypatch):
 
 def test_key_buffer_holds_exactly_the_kept_keys():
     # For every task, the runs hold as many c as the kept c counted over the
-    # whole c boxes with plain numpy, fewer than the cells the guard
-    # charges, and the task's traced peak stays within that charge.
+    # whole c boxes with plain numpy, fewer than its c-box cells, and the
+    # task's traced peak stays within its charge.
     q = (1, 1, 1)
+    width = lattice._field_width(64, *q)
     for task in _tasks(64, q, False):
-        _, width, deg, rows, cells = task
+        _, deg, rows = task
         keys, counts = _run_keys(q, width, rows, deg)
         kept = sum(_box_shapes(q, side, deg)[0].size for side in rows.T.tolist())
-        assert keys.size == counts.sum() == kept < cells
-        tracemalloc.start()
-        try:
-            lattice._longest_side_chunk(task)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= lattice._task_bytes(task)
+        assert keys.size == counts.sum() == kept < _box_sizes(task)[1]
+        assert _traced_peak(task) <= lattice._task_bytes(task)
+
+
+@pytest.mark.parametrize("n, q, deg", [
+    (128, (1, 0, 1), True), (300, (1, 0, 1), True), (100, (1, 1, 1), False),
+    (80, (1, 0, 3), True), (60, (2, 1, 3), False),
+])
+def test_task_peak_stays_within_its_charge(n, q, deg):
+    # The three tasks with the most c-box u rows and the three with the most
+    # c-box cells each hold at most their charge under tracemalloc.
+    tasks = _tasks(n, q, deg)
+    sizes = [_box_sizes(t) for t in tasks]
+    largest = {i for k in (0, 1) for i in sorted(range(len(tasks)), key=lambda i: sizes[i][k])[-3:]}
+    assert len(largest) >= 3
+    for i in largest:
+        assert _traced_peak(tasks[i]) <= lattice._task_bytes(tasks[i])
 
 
 def test_longest_sides_tests_one_orbit_image_at_a_time():

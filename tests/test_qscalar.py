@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from dtl.errors import DiscriminantMismatch
-from dtl.qscalar import QScalar, _sign
+from dtl.qscalar import QScalar, _sign, is_square_free
 
 SQRT2 = QScalar(0, 1, 2)
 SQRT3 = QScalar(0, 1, 3)
@@ -28,6 +28,18 @@ def test_square_free_required():
         QScalar(0, 1, 12)
     with pytest.raises(ValueError):
         QScalar(0, 1, -2)
+
+
+def test_each_disc_is_checked_once():
+    # the trial division of a large D runs on the first scalar only; a
+    # refused D is refused again from the cache
+    is_square_free.cache_clear()
+    for _ in range(3):
+        assert QScalar(1, 1, 999_999_999_989).disc == 999_999_999_989
+        with pytest.raises(ValueError):
+            QScalar(1, 1, 4)
+    info = is_square_free.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_arithmetic():

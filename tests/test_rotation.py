@@ -16,6 +16,7 @@ from dtl.rotation import (
     _INT64_MAX_R,
     PythTriple,
     constant_sum,
+    count_primitive_triples,
     count_rotatable_points,
     count_rotatable_triangles,
     enum_primitive_triples,
@@ -44,6 +45,34 @@ def test_enum_small():
 def test_enum_rejects_small_bound():
     with pytest.raises(PreconditionError):
         enum_primitive_triples(4)
+
+
+def test_count_is_the_length_of_the_list():
+    for max_r in (5, 12, 13, 25, 26, 100, 3042, 10**5):
+        assert count_primitive_triples(max_r) == len(enum_primitive_triples(max_r))
+    with pytest.raises(PreconditionError):
+        count_primitive_triples(4)
+
+
+def test_count_holds_no_triple_list():
+    # the list at max_r = 4 * 10**6 holds 1,273,234 PythTriple objects, about
+    # 384 MB ru_maxrss; the count holds one block of arrays at a time
+    tracemalloc.start()
+    try:
+        assert count_primitive_triples(4_000_000) == 1_273_234
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_list_refused_above_its_limit(monkeypatch):
+    def unbuilt(max_r):
+        raise AssertionError("triples built")
+
+    monkeypatch.setattr(rotation, "_triple_arrays", unbuilt)
+    with pytest.raises(CostGuardExceeded, match="triple list refused"):
+        enum_primitive_triples(rotation.TRIPLE_LIST_LIMIT + 1)
 
 
 def test_triples_are_primitive_and_pythagorean():
