@@ -73,17 +73,29 @@ def _input_file(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _sha256(data: bytes):
+    """SHA-256 from the module that hashlib itself falls back to (`_sha2` on
+    Python 3.12+, `_sha256` before), and from hashlib only without either."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data)
+
+
 def _write_out(args: argparse.Namespace, text: str, started_at: str) -> None:
     """Writes `text` to `--out` and the run manifest next to it. The input
-    file's digest is taken here, so only a manifest loads OpenSSL."""
+    file's digest is taken here, by CPython's built-in SHA-256 when it has
+    one, so no command loads OpenSSL."""
     out = Path(args.out)
     digest = None
     path = _input_file(args)
     if path is not None:
-        import hashlib
-
         try:
-            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            digest = _sha256(Path(path).read_bytes()).hexdigest()
         except OSError as e:
             raise DtlError(f"cannot read input {path}: {e}") from e
     try:

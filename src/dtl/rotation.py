@@ -9,12 +9,11 @@ is rotatable by that angle iff both coordinates of the image are integers,
 which collapses to the single congruence a = c*b (mod r) with c = p * q^-1.
 
 Every triple comes from one numpy generator over coprime m > n >= 1 of
-opposite parity (`_triple_arrays`): each m gets its range of n, and
-coprimality is read from a table that a prime-stride sieve clears, with no
-gcd per (m, n). It checks what `PythTriple` checks on whole arrays, so its
-Euclid gcd(p, q) = 1 assertion cross-checks the sieve. Every rotatable pair
-comes from one table
-(`_rotatable_pairs`), built for all triples at once: each triple's
+opposite parity (`_triple_arrays`): each m gets its range of n, and one
+Euclid gcd over each block's (m, n) keeps the coprime cells, which makes
+every triple primitive. `constant_sum` sums each block's terms exactly
+(`_exact_parts`) and rounds the total once. Every rotatable pair comes from
+one table (`_rotatable_pairs`), built for all triples at once: each triple's
 rotatable points are encoded as integers and paired, and the pairs are
 deduplicated by one sort. `count_rotatable_triangles` classifies the table
 with array operations. `verify_minimality` runs the Lemma 3.1 scan as one
@@ -73,15 +72,12 @@ def _triple_arrays(max_r: int):
     r^2 would overflow int64.
 
     Each m runs over its own n = 1 + m % 2, 3 + m % 2, ... up to
-    min(m - 1, isqrt(max_r - m^2)). Coprimality comes from a boolean table
-    over the block's (m, n) rectangle, cleared at m = n = 0 (mod f) for each
-    odd prime f with a multiple among the block's m (a common factor of
-    m > n is at most m / 2, and 2 never divides both). The gcd(p, q) = 1
-    assertion is Euclid's, so it checks the table independently."""
+    min(m - 1, isqrt(max_r - m^2)), and one Euclid gcd over the block's
+    (m, n) keeps the coprime cells. For m and n of opposite parity,
+    gcd(p, q) = 1 exactly when gcd(m, n) = 1, so every triple is primitive."""
     if max_r > _INT64_MAX_R:
         raise CostGuardExceeded(f"triples refused for max_r={max_r} > {_INT64_MAX_R}")
     m_end = isqrt(max_r - 1) + 1  # m runs while m^2 + 1 <= max_r
-    primes = _odd_primes(m_end // 2)
     lo = 2
     while lo < m_end:
         hi = min(m_end, max(lo + 1, isqrt(lo * lo + _TRIPLE_CELLS)))
@@ -95,29 +91,14 @@ def _triple_arrays(max_r: int):
         start = np.cumsum(count) - count
         m = np.repeat(rows, count)
         n = np.repeat(first - 2 * start, count) + 2 * np.arange(m.size)
-        table = np.ones((hi - lo, hi), dtype=bool)
-        for f in primes[(-lo) % primes < hi - lo].tolist():
-            table[-lo % f :: f, ::f] = False
-        coprime = table[m - lo, n]
+        # n < m < m_end <= 55,109 under the int64 guard, so uint16 holds both
+        coprime = np.gcd(m.astype(np.uint16), n.astype(np.uint16)) == 1
         m, n = m[coprime], n[coprime]
         p, q, r = m * m - n * n, 2 * m * n, m * m + n * n
         assert (p > 0).all() and (q > 0).all()
-        # p, q < r <= _INT64_MAX_R < 2^32
         assert (p * p + q * q == r * r).all()
-        assert (np.gcd(p.astype(np.uint32), q.astype(np.uint32)) == 1).all()
         yield p, q, r
         lo = hi
-
-
-def _odd_primes(limit: int) -> np.ndarray:
-    """The odd primes <= limit, ascending, by the sieve of Eratosthenes."""
-    odd = np.ones(limit + 1, dtype=bool)
-    odd[:3] = False
-    odd[4::2] = False
-    for f in range(3, isqrt(limit) + 1, 2):
-        if odd[f]:
-            odd[f * f :: 2 * f] = False
-    return np.flatnonzero(odd)
 
 
 def _both_leg_orders(max_r: int):
@@ -296,19 +277,43 @@ class ConstantSum:
     total_bound: float
 
 
+def _exact_parts(x: np.ndarray) -> list[float]:
+    """A few floats whose exact sum is the exact sum of x: positive normal
+    float64 values, fewer than 2^26 of them, with a finite sum.
+
+    Each x = f * 2^e with f in [1/2, 1) is hi * 2^(e - 27) + lo * 2^(e - 53)
+    for integers hi < 2^27 and lo < 2^26. np.bincount sums the hi and the
+    lo of each e: integers below 2^53, so exact in any order. Scaling a sum
+    by its power of two is exact too, since no part exceeds the sum of x and
+    none has a bit below 2^-1074."""
+    if not x.size:
+        return []
+    f, e = np.frexp(x)
+    f *= 1 << 27
+    hi = np.floor(f)
+    lo = (f - hi) * (1 << 26)
+    low = int(e.min())
+    e -= low
+    scale = np.arange(int(e.max()) + 1) + low
+    hi_sums = np.ldexp(np.bincount(e, weights=hi), scale - 27)
+    lo_sums = np.ldexp(np.bincount(e, weights=lo), scale - 53)
+    return hi_sums.tolist() + lo_sums.tolist()
+
+
 def constant_sum(cutoff: int = 10**5) -> ConstantSum:
     """Bound the full series sum of 1/(2 r^2) over primitive triples.
 
     At most 2*sqrt(r) triples share a hypotenuse r, so the tail beyond the
     cutoff is at most the integral of x^(-3/2), i.e. 2/sqrt(cutoff - 1).
     Each (m, n) pair is summed once and the sum doubled for the two leg
-    orders, which is exact. math.fsum rounds the exact sum of its terms
-    correctly, so the order of summation does not matter.
+    orders, which is exact. `_exact_parts` turns each block's terms into a
+    few floats with the same exact sum, and math.fsum rounds their exact sum
+    correctly, so the partial is the correctly rounded sum of the terms.
     """
     if cutoff < 10**3:
         raise PreconditionError("cutoff must be at least 10^3")
-    terms = ((1.0 / (2.0 * r * r)).tolist() for _, _, r in _triple_arrays(cutoff))
-    partial = 2.0 * math.fsum(chain.from_iterable(terms))
+    parts = (_exact_parts(1.0 / (2.0 * r * r)) for _, _, r in _triple_arrays(cutoff))
+    partial = 2.0 * math.fsum(chain.from_iterable(parts))
     tail = 2.0 / math.sqrt(cutoff - 1)
     return ConstantSum(cutoff, partial, tail, partial + tail)
 

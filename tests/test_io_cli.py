@@ -545,6 +545,26 @@ def test_cli_pointset_without_out_reads_its_file_once(hex_file, monkeypatch, cap
     assert _loaded_hash_modules(["pointset", "--file", str(hex_file)]) == "[]"
 
 
+def test_cli_pointset_out_loads_no_openssl(hex_file, tmp_path):
+    # the digest comes from CPython's built-in SHA-256, not from OpenSSL
+    import hashlib
+
+    out = tmp_path / "payload"
+    assert _loaded_hash_modules(["pointset", "--file", str(hex_file), "--out", str(out)]) == "[]"
+    manifest = json.loads(out.with_name("payload.manifest.json").read_text())
+    assert manifest["input_digest"] == hashlib.sha256(hex_file.read_bytes()).hexdigest()
+
+
+def test_cli_digest_falls_back_to_hashlib(monkeypatch):
+    import hashlib
+
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
+    digest = cli._sha256(b"dtl")
+    assert type(digest) is type(hashlib.sha256())
+    assert digest.hexdigest() == hashlib.sha256(b"dtl").hexdigest()
+
+
 @pytest.mark.parametrize("command", [["pointset", "--file"], ["search", "--k", "2", "--ground"]],
                          ids=["pointset", "search"])
 def test_cli_manifest_digest_is_the_input_sha256(hex_file, tmp_path, capsys, command):

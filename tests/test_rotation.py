@@ -116,7 +116,7 @@ SPLIT_MAX_R = sorted({*range(5, 40), *range(40, 3001, 29), 3041, 3042,
 
 @pytest.mark.parametrize("cells", [1, 7, 64])
 def test_triple_blocks_match_row_major_reference(monkeypatch, cells):
-    # the gcd(p, q) assertion runs on uint32, which needs p, q < r < 2^32
+    # the gcd runs on uint16, which needs m < 2^16, so m^2 + 1 <= max_r < 2^32
     assert _INT64_MAX_R < 2**32
     # small blocks split the rows that the default block size keeps together
     monkeypatch.setattr(rotation, "_TRIPLE_CELLS", cells)
@@ -133,6 +133,12 @@ def test_triple_blocks_match_row_major_reference(monkeypatch, cells):
         ms = [[math.isqrt((p + r) // 2) for p, _, r in zip(*b)] for b in blocks]
         ms = [b for b in ms if b]
         assert all(a[-1] < b[0] for a, b in zip(ms, ms[1:]))
+
+
+def test_every_generated_triple_is_primitive():
+    # the generator keeps gcd(m, n) = 1; Euclid on the legs checks that apart
+    for p, q, _ in rotation._triple_arrays(10**6):
+        assert (np.gcd(p, q) == 1).all()
 
 
 @pytest.mark.parametrize("build", [enum_primitive_triples, constant_sum])
@@ -385,6 +391,57 @@ def test_constant_sum_cutoff_guard():
 def test_constant_sum_partial_is_exact(cutoff, partial):
     # the correctly rounded sum over both leg orders, bit for bit
     assert constant_sum(cutoff).partial == partial
+
+
+def _scaled_sum(values):
+    """The exact sum of the floats, times 2^1074, as an int."""
+    total = 0
+    for v in values:
+        num, den = v.as_integer_ratio()
+        total += num << (1075 - den.bit_length())
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_exact_parts_sum_to_the_exact_sum(data):
+    size = data.draw(st.integers(1, rotation._TRIPLE_CELLS), label="size")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32), label="seed"))
+    if data.draw(st.booleans(), label="widest significands"):
+        f = np.full(size, np.nextafter(1.0, 0.0))  # 53 ones: hi and lo at their top
+    else:
+        f = rng.uniform(0.5, 1.0, size)
+    # few exponents make long bincount sums; the widest range reaches the
+    # smallest normal, whose lo part is a multiple of 2^-1074
+    low = data.draw(st.integers(-1021, 1000), label="low exponent")
+    spread = data.draw(st.integers(0, 1000 - low), label="exponent spread")
+    x = np.ldexp(f, rng.integers(low, low + spread + 1, size))
+    drawn = data.draw(st.lists(st.floats(2.0**-1022, 2.0**1000), max_size=20), label="drawn")
+    x = np.concatenate((x, drawn))[: rotation._TRIPLE_CELLS]
+    parts = rotation._exact_parts(x)
+    terms = x.tolist()
+    assert _scaled_sum(parts) == _scaled_sum(terms)
+    assert math.fsum(parts) == math.fsum(terms)
+
+
+@pytest.mark.parametrize("cutoff", [10**6, 10**7])
+def test_constant_sum_holds_one_block_at_a_time(cutoff):
+    tracemalloc.start()
+    try:
+        constant_sum(cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
+@pytest.mark.parametrize("cells", [1, 7])
+def test_constant_sum_does_not_depend_on_the_blocks(monkeypatch, cells):
+    # at 1090 to 1092 the last row, m = 33, holds no cell: 33^2 + 2^2 > max_r
+    cutoffs = [1000, 1090, 1091, 1092, 1093, 12345]
+    want = [constant_sum(c).partial for c in cutoffs]
+    monkeypatch.setattr(rotation, "_TRIPLE_CELLS", cells)
+    assert [constant_sum(c).partial for c in cutoffs] == want
 
 
 def test_constant_sum_values():
