@@ -50,43 +50,6 @@ def sq_dist(p: QPoint, q: QPoint) -> QScalar:
     return dx * dx + dy * dy
 
 
-@dataclass(frozen=True)
-class TriangleShape:
-    """Canonical congruence-class key: squared side lengths with s1 <= s2 <= s3."""
-
-    s1: QScalar
-    s2: QScalar
-    s3: QScalar
-
-    def __init__(self, s1, s2, s3):
-        s1, s2, s3 = sorted((_coerce(s1), _coerce(s2), _coerce(s3)))
-        if s1.sign() <= 0:
-            raise PreconditionError("squared side lengths must be strictly positive")
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "s2", s2)
-        object.__setattr__(self, "s3", s3)
-
-    def sixteen_area_sq(self) -> QScalar:
-        """2(ab + bc + ca) - a^2 - b^2 - c^2, i.e. 16 * area^2 (Heron on squares)."""
-        a, b, c = self.s1, self.s2, self.s3
-        return 2 * (a * b + b * c + c * a) - a * a - b * b - c * c
-
-    def __str__(self) -> str:
-        return f"({self.s1}, {self.s2}, {self.s3})"
-
-
-def shape_of(a: QPoint, b: QPoint, c: QPoint) -> TriangleShape:
-    """Shape key of triangle abc. The vertices must be pairwise distinct."""
-    if a == b or a == c or b == c:
-        raise PreconditionError("triangle vertices must be pairwise distinct")
-    return TriangleShape(sq_dist(a, b), sq_dist(a, c), sq_dist(b, c))
-
-
-def is_degenerate(s: TriangleShape) -> bool:
-    """True iff the shape has zero area (collinear vertices)."""
-    return s.sixteen_area_sq().is_zero()
-
-
 DEFAULT_TOLERANCE = 1e-9
 # The most triples `GroundSet.sorted_sides` keys: at 392 random float points,
 # where every triple is a new shape, tracemalloc measures a peak of 105 B per
@@ -279,15 +242,3 @@ def ground_set_from_floats(
         ranks[p] = len(values) - 1
         prev = x
     return _from_ranks(label, "float", len(points), ranks, values)
-
-
-def distinct_triangle_count(
-    points: Sequence[QPoint], include_degenerate: bool = True
-) -> tuple[int, list[TriangleShape]]:
-    """Number of distinct triangle shapes over all C(n,3) triples of the set,
-    and the shapes in ascending (s1, s2, s3) order."""
-    ground = ground_set_from_points(list(points))
-    v = ground.values
-    shapes = [TriangleShape(*(v[r] for r in s)) for s in ground.sorted_sides(include_degenerate)]
-    return len(shapes), shapes
-

@@ -21,10 +21,10 @@ along a run are an arithmetic progression, and those that rho takes into
 the c box of d', so to kept c of d', are one range of it (`_taken`).
 A task is whole h groups of about _TASK_ROWS c-box u rows, which one
 process evaluates in one pass; before any runs, the census charges each
-task bytes per c-box u row and cell (`_task_bytes`) against its budget.
-`general_lattice_census` keeps the translation-only enumeration of vertex
-pairs, an independent check, with the three sorted squared sides packed
-into one int64 by `keys`.
+task bytes per c-box u row and cell (`_task_bytes`) against its budget,
+and refuses a region whose squared distances reach 2^21 (`_check_exact`).
+The translation-only census the tests check this one against is in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from math import lcm
 import numpy as np
 
 from .errors import CostGuardExceeded, PreconditionError
-from .keys import key_width, nonzero_area, pack_sorted, sorted_unique
 
 # The largest n the all-triples oracle runs at.
 ORACLE_LIMIT = 8
@@ -146,8 +145,17 @@ def bounding_box_class(a: tuple[int, int], b: tuple[int, int]) -> BoundingBoxCla
 # result under any multiprocessing start method.
 
 
-def _field_width(n: int, qa: int, qb: int, qc: int) -> int:
-    return key_width((qa + abs(qb) + qc) * (n - 1) ** 2)
+def _check_exact(n: int, q: tuple[int, int, int]) -> None:
+    """Raise CostGuardExceeded unless (qa + |qb| + qc) (n - 1)^2 < 2**21.
+    That bounds every squared distance of the n x n region, and keeps the
+    int32 and float arithmetic of `_runs` and `_maps` exact."""
+    qa, qb, qc = q
+    top = (qa + abs(qb) + qc) * (n - 1) ** 2
+    if top >= 1 << 21:
+        raise CostGuardExceeded(
+            f"census refused for n={n}: squared distances up to {top} reach 2^21, past the "
+            "bound that keeps the int32 and float arithmetic of _runs and _maps exact"
+        )
 
 
 def _longest_sides(n: int, q: tuple[int, int, int]):
@@ -225,36 +233,13 @@ def _check_memory(tasks: list[tuple], workers: int) -> None:
         )
 
 
-def _u_range(q, rows):
-    """Per row, the first and last u of its half-lens q(c - d) <= h, L(c) <= h,
-    clipped to its c box; a u row outside by less than 1e-6 stays in, and
-    `_runs` finds the exact ends of each row.
-
-    The ellipse q(c - d) <= h reaches its u ends du -+ r at the points
-    d -+ r (1, -qb / (2 qc)), where L(c) = 2h -+ reach. Where L there
-    exceeds h the half-plane cuts that end off, and the end moves to the
-    ends of the chord L(c) = h, the apexes d / 2 +- sqrt(3 / (4 disc)) p(d)
-    at distance h from both 0 and d.
-    """
-    qa, qb, qc = q
-    du, dv, h, u0, u1 = rows[:5]
-    disc = 4 * qa * qc - qb * qb
-    lv = qb * du + 2 * qc * dv
-    r = np.sqrt(4 * qc * h / disc)
-    reach = r * (2 * qa * du + qb * dv - qb * lv / (2 * qc))
-    apex = np.sqrt(3 / (4 * disc)) * np.abs(lv)
-    lo = np.where(reach >= h, du - r, du / 2 - apex)
-    hi = np.where(reach <= -h, du + r, du / 2 + apex)
-    return (np.maximum(np.ceil(lo - 1e-6), u0).astype(np.int64),
-            np.minimum(np.floor(hi + 1e-6), u1).astype(np.int64))
-
-
 def _runs(q, rows, include_degenerate):
     """The kept c of the rows' d as runs of consecutive v at one u: arrays
     (d, u, v, size) of each nonempty run's column in `rows`, its u, its first
     v and its length, in row-major order of c, one d after another.
 
-    Each d's u rows are those of its half-lens (`_u_range`). For fixed u the
+    Each d's u rows are those of its c box; a row outside the half-lens
+    q(c - d) <= h, L(c) <= h gets an empty interval. For fixed u the
     c with q(c - d) <= h form an interval of v, whose ends are the float
     roots of a quadratic, moved out by 1e-6 and made exact by one integer
     check each. L(c) <= h, linear in c, cuts the interval, and the d's c box
@@ -263,10 +248,10 @@ def _runs(q, rows, include_degenerate):
     loses its whole u = 0 row.
     """
     qa, qb, qc = q
-    ulo, uhi = _u_range(q, rows)
-    nu = np.maximum(uhi - ulo + 1, 0)
+    ulo = rows[3]
+    nu = rows[4] - ulo + 1
     # int32 holds the coordinates and every term below but the root's,
-    # taken in floats: under the key width guard
+    # taken in floats: under `_check_exact`
     # (qa + |qb| + qc) (n - 1)^2 < 2**21, and |x|, |v - dv| < 2n
     d = np.repeat(np.arange(nu.size, dtype=np.int32), nu)
     du, dv, h, v0, v1 = np.repeat(rows[[0, 1, 2, 5, 6]].astype(np.int32), nu, axis=1)
@@ -331,7 +316,7 @@ def _maps(q, rows):
     mat c = 0 (mod den): mat has determinant +-den^2 and coprime entries,
     so this is one linear congruence and a sublattice of index den = a e.
     Entries of mat are below 4 (qa + |qb| + qc) (n - 1)^2 < 2**23 in an
-    n x n region under the key width guard, so mat c and mat e stay far
+    n x n region under `_check_exact`, so mat c and mat e stay far
     below 2**53.
     """
     qa, qb, qc = q
@@ -527,38 +512,6 @@ def _longest_side_chunk(task: tuple) -> int:
     return kept + place.size - int(np.count_nonzero(seen))
 
 
-def _delta_chunk(task: tuple) -> np.ndarray:
-    """Packed shape keys for delta pairs (d1, d2), d1 in [lo, hi), deduplicated.
-
-    The task is (n, (qa, qb, qc), (lo, hi)); the deltas are the (2n-1)^2
-    coefficient differences of the n x n box, in flat row-major order.
-    """
-    n, (qa, qb, qc), (lo, hi) = task
-    coords = np.arange(2 * n - 1, dtype=np.int64) - (n - 1)
-    d2u, d2v = np.meshgrid(coords, coords)
-    d2u, d2v = d2u.ravel(), d2v.ravel()
-    w2 = qa * d2u * d2u + qb * d2u * d2v + qc * d2v * d2v
-    flat = np.arange(d2u.size)
-    width = _field_width(n, qa, qb, qc)
-    out = []
-    for i1 in range(lo, hi):
-        u1, v1 = int(d2u[i1]), int(d2v[i1])
-        if u1 == 0 and v1 == 0:
-            continue
-        # Unordered pairs once (flat index order); both deltas nonzero.
-        mask = (flat > i1) & ~((d2u == 0) & (d2v == 0))
-        # The three points {0, d1, d2} must fit in the box after translation.
-        span_u = np.maximum(np.maximum(u1, d2u), 0) - np.minimum(np.minimum(u1, d2u), 0)
-        span_v = np.maximum(np.maximum(v1, d2v), 0) - np.minimum(np.minimum(v1, d2v), 0)
-        mask &= (span_u <= n - 1) & (span_v <= n - 1)
-        du = u1 - d2u[mask]
-        dv = v1 - d2v[mask]
-        dq = qa * du * du + qb * du * dv + qc * dv * dv
-        w1 = qa * u1 * u1 + qb * u1 * v1 + qc * v1 * v1
-        out.append(pack_sorted(np.int64(w1), w2[mask], dq, width))
-    return sorted_unique(out)
-
-
 def _run_chunks(tasks: list[tuple], workers: int):
     """The sum of `_longest_side_chunk` over the tasks, and the number of
     processes that ran them (1 when serial)."""
@@ -578,7 +531,7 @@ def _census(kind: LatticeKind, n: int, include_degenerate: bool, workers: int) -
         raise PreconditionError(f"{kind.name} census needs n >= 2")
     t0 = time.monotonic()
     q = kind.gram.integer_scaled()
-    _field_width(n, *q)  # refuses a form too wide for the int32 and float arithmetic
+    _check_exact(n, q)
     tasks = _longest_side_tasks(n, q, include_degenerate)
     _check_memory(tasks, workers)
     distinct, used = _run_chunks(tasks, workers)
@@ -634,41 +587,6 @@ def tri_lattice_census(
     keep the form.
     """
     return _census(LatticeKind.triangular(), n, include_degenerate, workers)
-
-
-def general_lattice_census(
-    gram: GramForm, n: int, include_degenerate: bool = True
-) -> ShapeCensus:
-    """Distinct triangle shapes in the n x n coefficient box of an arbitrary
-    positive-definite lattice, via translation reduction over delta pairs.
-
-    This path only quotients by translation: it enumerates pairs of deltas
-    (d1, d2) whose coordinate span fits in the box, and merges the keys of
-    all tasks. It shares no enumeration with `census`, which it cross-checks.
-    It is the small-n cross-check, run serially in one process: it has no
-    memory guard and holds its whole result, so it peaks at about 350 MB
-    `ru_maxrss` at triangular n = 75 and about 3.1 GB at n = 150.
-    """
-    if n < 2:
-        raise PreconditionError("general census needs n >= 2")
-    t0 = time.monotonic()
-    q = gram.integer_scaled()
-    width = _field_width(n, *q)
-    ndeltas = (2 * n - 1) ** 2
-    tasks = [(n, q, (i, min(i + 64, ndeltas))) for i in range(0, ndeltas, 64)]
-    keys = sorted_unique(map(_delta_chunk, tasks))
-    distinct = keys.size
-    if not include_degenerate:  # in cache-sized slices, so the temporaries stay small
-        slices = (keys[s : s + (1 << 16)] for s in range(0, keys.size, 1 << 16))
-        distinct = sum(int(np.count_nonzero(nonzero_area(k, width))) for k in slices)
-    return ShapeCensus(
-        kind="general",
-        n=n,
-        include_degenerate=include_degenerate,
-        distinct=distinct,
-        elapsed_ms=(time.monotonic() - t0) * 1000.0,
-        workers=1,
-    )
 
 
 # ---------------------------------------------------------------------------

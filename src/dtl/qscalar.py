@@ -99,9 +99,6 @@ class QScalar:
     def sign(self) -> int:
         return _sign(self.rat, self.rad, self.disc)
 
-    def is_zero(self) -> bool:
-        return self.rat == 0 and self.rad == 0
-
     def __lt__(self, other: "QScalar | RatLike") -> bool:
         return (self - _coerce(other)).sign() < 0
 

@@ -17,9 +17,9 @@ one table (`_rotatable_pairs`), built for all triples at once: each triple's
 rotatable points are encoded as integers and paired, and the pairs are
 deduplicated by one sort. `count_rotatable_triangles` classifies the table
 with array operations. `verify_minimality` runs the Lemma 3.1 scan as one
-array pass over all origin pairs. `bounding_box_class`,
-`minimal_congruency_set`, `_origin_pairs` and `rotatable_points` stay the
-per-pair and per-triple references.
+array pass over all origin pairs. The per-pair and per-point references the
+tests check these against (`minimal_congruency_set`, `_origin_pairs`,
+`rotatable_points`) are in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -33,12 +33,9 @@ import numpy as np
 
 from .errors import CostGuardExceeded, PreconditionError
 from .keys import key_width, nonzero_area, pack_sorted, unpack
-from .lattice import BoundingBoxClass, bounding_box_class
 
 Point = tuple[int, int]
-Triangle = frozenset  # of Point, always containing the origin
 
-ORIGIN: Point = (0, 0)
 ROTATABLE_TRIANGLE_LIMIT = 64
 MINIMALITY_LIMIT = 12
 # The largest max_r `enum_primitive_triples` lists: its PythTriple objects
@@ -130,39 +127,9 @@ def count_primitive_triples(max_r: int) -> int:
     return 2 * sum(r.size for _, _, r in _triple_arrays(max_r))
 
 
-def rotate_exact(pt: Point, t: PythTriple) -> Point | None:
-    """Exact image of pt under the triple's rotation, or None when the image
-    leaves the lattice."""
-    a, b = pt
-    nx = a * t.q - b * t.p
-    ny = a * t.p + b * t.q
-    if nx % t.r or ny % t.r:
-        return None
-    return (nx // t.r, ny // t.r)
-
-
-def is_rotatable_by(pt: Point, t: PythTriple) -> bool:
-    return rotate_exact(pt, t) is not None
-
-
-def rotatable_points(n: int, t: PythTriple) -> list[Point]:
-    """All points of [n] x [n] rotatable by the triple's angle, the origin
-    included (it is fixed by every rotation)."""
-    if n < 1:
-        raise PreconditionError("n must be >= 1")
-    r = t.r
-    c = t.p * pow(t.q, -1, r) % r
-    pts = []
-    for b in range(n):
-        a = (c * b) % r
-        while a < n:
-            pts.append((a, b))
-            a += r
-    return pts
-
-
 def count_rotatable_points(n: int, t: PythTriple) -> int:
-    """len(rotatable_points(n, t)), without building the points.
+    """The number of points of [n] x [n] rotatable by the triple's angle,
+    the origin included, without building the points.
 
     Row b holds a = c*b mod r and a + r, a + 2r, ... below n: k + 1 points
     when a <= s and k otherwise, for k, s = divmod(n - 1, r). b -> c*b mod r
@@ -322,64 +289,6 @@ def constant_sum(cutoff: int = 10**5) -> ConstantSum:
 # Minimal congruency sets (origin-vertex triangles in the first quadrant)
 
 
-def _sq(p: Point) -> int:
-    return p[0] * p[0] + p[1] * p[1]
-
-
-def _shape_key(a: Point, b: Point) -> tuple[int, int, int]:
-    d = (a[0] - b[0], a[1] - b[1])
-    return tuple(sorted((_sq(a), _sq(b), _sq(d))))
-
-
-_AXIS_PARALLEL = "axis-parallel side: minimal congruency set undefined"
-
-
-def _minimal_set_undefined(a: Point, b: Point) -> str | None:
-    """Why {O, a, b} has no minimal congruency set, or None if it has one."""
-    if a == ORIGIN or b == ORIGIN or a == b:
-        return "degenerate: O, a, b must be pairwise distinct"
-    if min(a + b) < 0:
-        return "triangle must lie in the first quadrant"
-    s1, s2, s3 = _shape_key(a, b)
-    if s1 == s2 or s2 == s3:
-        return "isosceles triangle has no minimal congruency set"
-    if s1 + s2 == s3:
-        return "right triangle has no minimal congruency set"
-    if 2 * (s1 * s2 + s2 * s3 + s3 * s1) - s1 * s1 - s2 * s2 - s3 * s3 == 0:
-        return "degenerate triangle has no minimal congruency set"
-    if 0 in (a[0], a[1], b[0], b[1]) or a[0] == b[0] or a[1] == b[1]:
-        return _AXIS_PARALLEL
-    return None
-
-
-def minimal_congruency_set(a: Point, b: Point) -> set[Triangle]:
-    """The 2- or 4-element set of origin-vertex triangles forced congruent to
-    {O, a, b} by grid symmetry (transpose, and vertex-difference for the
-    two-on-box type)."""
-    reason = _minimal_set_undefined(a, b)
-    if reason is not None:
-        raise PreconditionError(reason)
-    t = lambda p: (p[1], p[0])
-    if bounding_box_class(a, b) is BoundingBoxClass.THREE_ON_BOX:
-        tris = [(a, b), (t(a), t(b))]
-    else:
-        # One vertex is strictly inside the box; normalize so it is b.
-        if not (a[0] > b[0] and a[1] > b[1]):
-            a, b = b, a
-        diff = (a[0] - b[0], a[1] - b[1])
-        tris = [(a, b), (t(a), t(b)), (a, diff), (t(a), t(diff))]
-    return {frozenset((ORIGIN, u, v)) for u, v in tris}
-
-
-def _origin_pairs(n: int):
-    """Every origin-vertex triangle {O, a, b} of [n] x [n] once, as
-    (shape key, a, b); a brute-force scan over all pairs."""
-    pts = [(u, v) for u in range(n) for v in range(n) if (u, v) != ORIGIN]
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            yield _shape_key(a, b), a, b
-
-
 @dataclass
 class MinimalityReport:
     n: int
@@ -400,12 +309,13 @@ def verify_minimality(n: int) -> MinimalityReport:
     congruency class equals its minimal congruency set. Refuses n < 4, which
     holds no such triangle, and n above MINIMALITY_LIMIT.
 
-    One array pass over the pairs of `_origin_pairs`, in its order. The
-    reasons of `_minimal_set_undefined` apply in its order, and pairs in the
-    `_rotatable_pairs` table are dropped. The members of
-    `minimal_congruency_set` become pair codes. The minimal set is a subset
-    of the class iff every member has the pair's shape key, and then equals
-    it iff it has as many distinct members as the key has pairs."""
+    One array pass over the origin pairs {O, a, b}, a before b in row-major
+    order. The reasons a pair has no minimal congruency set (isosceles,
+    right or degenerate, then an axis-parallel side) apply in that order,
+    and pairs in the `_rotatable_pairs` table are dropped. The members of
+    each minimal congruency set become pair codes. The minimal set is a
+    subset of the class iff every member has the pair's shape key, and then
+    equals it iff it has as many distinct members as the key has pairs."""
     if n < 4:
         raise PreconditionError(f"minimality scan needs n >= 4, got {n}")
     if n > MINIMALITY_LIMIT:

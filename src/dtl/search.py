@@ -158,14 +158,3 @@ def max_subset_with_k_shapes(
 
     dfs((), frozenset(), 0)
     return SearchResult(best, witnesses, nodes, (time.monotonic() - t0) * 1000.0)
-
-
-def verify_subset(ground: GroundSet, indices: Sequence[int], k: int) -> bool:
-    """Post-hoc witness check, independent of search internals."""
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        raise PreconditionError("indices must be distinct")
-    for i in idx:
-        if not 0 <= i < ground.size:
-            raise PreconditionError(f"index {i} out of range")
-    return len(ground.distinct_shapes(idx)) <= k

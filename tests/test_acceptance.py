@@ -12,13 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from dtl.geometry import QPoint, distinct_triangle_count
+from dtl.geometry import QPoint
 from dtl.lattice import (
     TRIANGULAR_GRAM,
     LatticeKind,
     all_triples_census,
     census_series,
-    general_lattice_census,
     grid_census,
     ratio_fit,
     tri_lattice_census,
@@ -37,8 +36,8 @@ from dtl.search import (
     make_ngon_ground_set,
     max_subset_with_k_shapes,
     ngon_distinct_triangles,
-    verify_subset,
 )
+from reference import distinct_triangle_count, general_lattice_census, verify_subset
 
 
 def _report(num, label, ok, detail=""):

@@ -12,19 +12,16 @@ from dtl.errors import CostGuardExceeded, DiscriminantMismatch, PreconditionErro
 from dtl.geometry import (
     GroundSet,
     QPoint,
-    TriangleShape,
     _integer_pairs,
     _zero_area,
-    distinct_triangle_count,
     ground_set_from_floats,
     ground_set_from_matrix,
     ground_set_from_points,
-    is_degenerate,
-    shape_of,
     sq_dist,
 )
 from dtl.qscalar import QScalar, _coerce
 from dtl.search import make_ngon_ground_set
+from reference import TriangleShape, distinct_triangle_count, is_degenerate, shape_of
 
 O = QPoint(0, 0)
 HALF = QScalar(F(1, 2))
@@ -179,7 +176,7 @@ def test_sorted_sides_matches_distinct_shapes_exact(pts, include_degenerate):
     ref = sorted(ground.distinct_shapes(range(len(pts))))
     if not include_degenerate:
         flat = {ground.shape_key(a, b, c) for a, b, c in combinations(range(len(pts)), 3)
-                if _cross(pts[a], pts[b], pts[c]).is_zero()}
+                if _cross(pts[a], pts[b], pts[c]) == 0}
         ref = [key for key in ref if key not in flat]
     assert _sides(ground, ground.sorted_sides(include_degenerate)) == _sides(ground, ref)
 

@@ -165,6 +165,34 @@ def test_cli_census_fit_needs_three_rows(capsys):
     assert captured.out == "" and "at least 3 rows" in captured.err
 
 
+@pytest.mark.parametrize("lattice_name, n, top", [("square", 1025, 2 * 1024**2),
+                                                  ("tri", 838, 3 * 837**2)])
+def test_cli_census_refuses_a_region_past_exact_arithmetic(capsys, lattice_name, n, top):
+    # (qa + |qb| + qc) (n - 1)^2 reaches 2^21 first at square n = 1,025 and
+    # triangular n = 838
+    assert run(["census", "--lattice", lattice_name, "--n", str(n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: census refused for n={n}: squared distances up to {top} reach 2^21, past "
+        "the bound that keeps the int32 and float arithmetic of _runs and _maps exact\n")
+
+
+class _CensusRan(Exception):
+    pass
+
+
+@pytest.mark.parametrize("lattice_name, n", [("square", 1024), ("tri", 837)])
+def test_cli_census_largest_exact_region_passes_the_guard(monkeypatch, lattice_name, n):
+    # the largest n the guard allows reaches the task split, stopped there
+    def stop(*args):
+        raise _CensusRan
+
+    monkeypatch.setattr(lattice, "_longest_side_tasks", stop)
+    with pytest.raises(_CensusRan):
+        run(["census", "--lattice", lattice_name, "--n", str(n)])
+
+
 def test_cli_constant(capsys):
     assert run(["constant", "--cutoff", "100000"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -513,6 +541,31 @@ def _last_line_of(code: str, cwd=None) -> str:
                           cwd=cwd, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
+
+
+def test_package_import_loads_no_submodule():
+    # the package exports only __version__, so `import dtl` compiles nothing else
+    code = "import sys, dtl; print(sorted(m for m in sys.modules if m.startswith('dtl.')))"
+    assert _last_line_of(code) == "[]"
+
+
+def test_rotation_does_not_load_the_census():
+    code = "import sys, dtl.rotation; print('dtl.lattice' in sys.modules)"
+    assert _last_line_of(code) == "False"
+
+
+def test_benchmark_tracer_finds_every_entry_point():
+    # The benchmark's tracer wraps dtl's public functions by name, and a
+    # metric whose entry point is gone drops out of a traced run; the
+    # harness fills in the last three of its LAYER_UNITS itself.
+    bench = Path(dtl.__file__).resolve().parents[2] / "perfbench"
+    code = (f"import json, sys; sys.path.insert(0, {str(bench)!r}); import spans; "
+            "tracer = spans.Tracer(); tracer.install(); "
+            "print(json.dumps([sorted(tracer.metrics()), sorted(spans.LAYER_UNITS)]))")
+    got, units = json.loads(_last_line_of(code))
+    harness = {"cli.bytes_written", "process.cpu_s", "trace.overhead_s"}
+    assert harness <= set(units)
+    assert sorted(set(units) - harness) == got
 
 
 def _loaded_hash_modules(argv: list[str]) -> str:

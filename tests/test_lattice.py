@@ -20,11 +20,11 @@ from dtl.lattice import (
     bounding_box_class,
     census,
     census_series,
-    general_lattice_census,
     grid_census,
     ratio_fit,
     tri_lattice_census,
 )
+from reference import field_width, general_lattice_census
 
 SQUARE = LatticeKind.square()
 TRIANGULAR = LatticeKind.triangular()
@@ -253,7 +253,7 @@ def _box_shapes(q, side, include_degenerate):
 def test_runs_have_exact_ends_at_the_widest_fields(q, deg):
     # The largest h at n = 300 give the longest runs and the largest roots.
     n = 300
-    width = lattice._field_width(n, *q)
+    width = field_width(n, *q)
     rows = lattice._longest_sides(n, q)[:, -50:]
     out, sizes = _run_keys(q, width, rows, deg)
     keys = np.split(out[: sizes.sum()], np.cumsum(sizes)[:-1])
@@ -265,7 +265,7 @@ def test_runs_have_exact_ends_at_the_widest_fields(q, deg):
 @pytest.mark.parametrize("q", [(1, 0, 1), (1, 1, 1), (2, 1, 3), (1, -1, 3)])
 @pytest.mark.parametrize("deg", [True, False])
 def test_taken_ranges_are_exact_at_the_widest_fields(q, deg):
-    # At n = 300, h < 2**21 as the key width guard allows, the numerators
+    # At n = 300, h < 2**21 as `_check_exact` allows, the numerators
     # mat c of rho reach 2**34 and mat e 2**45: int64 in the kernel, divided
     # in floats. The image is linear in the step, so the range `_taken`
     # gives is exact iff its ends are in the partner's box (and, for a
@@ -320,7 +320,7 @@ def test_taken_ranges_are_exact_at_the_widest_fields(q, deg):
     "q, n", [((5000, 1, 5000), 12), ((3, -2, 700), 12), ((9000, 8999, 9000), 8)]
 )
 def test_census_matches_general_path_on_wide_forms(q, n):
-    # coefficients near the key width guard at small n
+    # coefficients near the exactness guard at small n
     gram = GramForm(*q)
     for deg in (True, False):
         got = census(LatticeKind.general(gram), n, deg).distinct
@@ -345,7 +345,7 @@ def test_wide_fields_take_int64_keys():
     # At n = 200 two fields of (q(c), q(c - d)) take 2w = 34 bits, past 32;
     # the task that holds h = 53,248 counts the shapes of a plain c-box scan.
     n, q = 200, (1, 0, 1)
-    assert 2 * lattice._field_width(n, *q) == 34
+    assert 2 * field_width(n, *q) == 34
     (task,) = [t for t in _tasks(n, q) if 53_248 in t[2][2]]
     shapes = set()
     for side in task[2].T.tolist():
@@ -372,7 +372,7 @@ def test_orbit_rule_keeps_the_largest_d_of_each_orbit(q):
 @pytest.mark.parametrize("q", [*G_ORDERS, (1, -1, 3)])
 def test_half_rule_keeps_one_c_per_swap_pair(q):
     for n in (2, 4, 6):
-        width = lattice._field_width(n, *q)
+        width = field_width(n, *q)
         mask = (1 << width) - 1
         shapes = set()
         for du, dv, h, *box in zip(*(a.tolist() for a in lattice._longest_sides(n, q))):
@@ -408,7 +408,7 @@ def test_canonical_rule_keeps_one_pair_per_reflection_orbit(n, corner):
     pts = [(u, v) for u in range(n) for v in range(n) if (u, v) != p]
     for q in G_ORDERS:
         group = _symmetries(q, n)
-        width = lattice._field_width(n, *q)
+        width = field_width(n, *q)
         mask = (1 << width) - 1
         sides = {
             (du, dv): side
@@ -490,7 +490,7 @@ def test_no_h_group_split_across_tasks(monkeypatch, n, q, budget):
 @pytest.mark.parametrize("q", [*G_ORDERS, (1, -1, 3)])
 def test_collinear_mask_drops_exactly_the_zero_area_keys(q):
     for n in range(2, 9):
-        width = lattice._field_width(n, *q)
+        width = field_width(n, *q)
         mask = (1 << width) - 1
         for side in zip(*(a.tolist() for a in lattice._longest_sides(n, q))):
             # 16 area^2 = 4ab - (c - a - b)^2 for squared sides a, b, c
@@ -509,7 +509,7 @@ def test_task_count_is_its_distinct_keys(monkeypatch, deg):
     empty = 0
     for q in [*G_ORDERS, (1, -1, 3)]:
         counts = []
-        width = lattice._field_width(8, *q)
+        width = field_width(8, *q)
         for task in _tasks(8, q, deg):
             keys = [k for side in task[2].T.tolist() for k in _kernel_keys(q, width, side, deg)]
             unique = packed.sorted_unique([np.array(keys, dtype=np.int64)])
@@ -635,7 +635,7 @@ def test_key_buffer_holds_exactly_the_kept_keys():
     # whole c boxes with plain numpy, fewer than its c-box cells, and the
     # task's traced peak stays within its charge.
     q = (1, 1, 1)
-    width = lattice._field_width(64, *q)
+    width = field_width(64, *q)
     for task in _tasks(64, q, False):
         _, deg, rows = task
         keys, counts = _run_keys(q, width, rows, deg)

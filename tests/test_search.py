@@ -14,8 +14,8 @@ from dtl.search import (
     max_subset_with_k_shapes,
     ngon_asymptotic_check,
     ngon_distinct_triangles,
-    verify_subset,
 )
+from reference import verify_subset
 
 
 def test_ngon_counts():
