@@ -131,23 +131,29 @@ def count_rotatable_points(n: int, t: PythTriple) -> int:
     """The number of points of [n] x [n] rotatable by the triple's angle,
     the origin included, without building the points.
 
-    Row b holds a = c*b mod r and a + r, a + 2r, ... below n: k + 1 points
-    when a <= s and k otherwise, for k, s = divmod(n - 1, r). b -> c*b mod r
-    permutes the residues, so every whole period of r rows has s + 1 rows of
-    k + 1 points. The rows past the last whole period are counted in blocks,
-    so memory does not grow with n; their values are below r, and exact in
-    object arrays once r^2 would overflow int64."""
+    Row b holds a = c*b mod r and a + r, a + 2r, ... below n: (n - 1 - a) // r
+    + 1 points, which is 0 when a >= n. With a = c*b - r*(c*b // r), the sum
+    over the rows is n plus two floor sums."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
     r = t.r
     c = t.p * pow(t.q, -1, r) % r
-    k, s = divmod(n - 1, r)
-    count = n * k + n // r * (s + 1)
-    dtype = np.int64 if r <= _INT64_MAX_R else object
-    for lo in range(0, n % r, _PAIR_BLOCK):
-        b = np.arange(lo, min(n % r, lo + _PAIR_BLOCK)).astype(dtype)
-        count += int(np.count_nonzero(c * b % r <= s))
-    return count
+    return n + _floor_sum(n, r, c, 0) + _floor_sum(n, r, -c, n - 1)
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum((a*i + b) // m for i in range(n)) for m >= 1, by Euclid-style
+    reduction: O(log m) steps on Python ints."""
+    total = 0
+    while n:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        y = a * n + b
+        if y < m:
+            break
+        n, b, m, a = y // m, y % m, a, m
+    return total
 
 
 def _rotatable_pairs(n: int) -> np.ndarray:

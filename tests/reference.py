@@ -3,9 +3,10 @@
 No CLI command runs these; they stay plain and separate from the code they
 check on purpose:
 
-- `general_lattice_census` (with `_delta_chunk`): the translation-only
-  census over vertex-difference pairs, with packed shape keys, against the
-  longest-side census;
+- `general_lattice_census` (with `_delta_chunk` and `sorted_unique`, its
+  streaming merge of packed keys): the translation-only census over
+  vertex-difference pairs, with packed shape keys, against the longest-side
+  census;
 - `rotate_exact`, `is_rotatable_by` and `rotatable_points`: rotation by one
   triple's angle, point by point, against the rotatable-pair table and
   `count_rotatable_points`;
@@ -29,7 +30,7 @@ import numpy as np
 
 from dtl.errors import PreconditionError
 from dtl.geometry import GroundSet, QPoint, ground_set_from_points, sq_dist
-from dtl.keys import key_width, nonzero_area, pack_sorted, sorted_unique
+from dtl.keys import key_width, merge, nonzero_area, pack_sorted
 from dtl.lattice import BoundingBoxClass, GramForm, ShapeCensus, bounding_box_class
 from dtl.qscalar import QScalar, _coerce
 from dtl.rotation import Point, PythTriple
@@ -43,6 +44,23 @@ def field_width(n: int, qa: int, qb: int, qc: int) -> int:
 
 # ---------------------------------------------------------------------------
 # The translation-only census
+
+# The fewest pending keys `sorted_unique` merges at once, so its memory stays
+# a small multiple of the result.
+_MERGE_KEYS = 10_000_000
+
+
+def sorted_unique(arrays) -> np.ndarray:
+    """Sorted distinct keys over an iterable of int64 key arrays. Pending
+    arrays merge into the result, pending[0], once they hold as many keys as
+    it and at least _MERGE_KEYS, so memory stays a small multiple of it."""
+    pending, size = [np.empty(0, dtype=np.int64)], 0
+    for arr in arrays:
+        pending.append(arr)
+        size += arr.size
+        if size >= max(pending[0].size, _MERGE_KEYS):
+            pending, size = [merge(pending)], 0
+    return merge(pending)
 
 
 def _delta_chunk(task: tuple) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Triangle shapes, ground sets, and distinct-triangle counting."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -242,6 +243,21 @@ def test_zero_area_matches_is_degenerate_q3(pts):
         "rational-part-zero"])
 def test_zero_area_matches_is_degenerate(build, flat):
     assert len(_degenerate_shapes(build())) == flat
+
+
+def test_sorted_sides_keys_one_row_at_a_time():
+    # a seeded 48-point set of the triangular lattice, built like the
+    # benchmark's point-set input; keying a block of 65,536 (row, pair)
+    # entries at a time peaked at 2.70 MiB on this set
+    cells = random.Random(11).sample([(u, v) for u in range(10) for v in range(10)], 48)
+    ground = ground_set_from_points([QPoint(u + F(v, 2), v * S3H) for u, v in cells])
+    tracemalloc.start()
+    try:
+        ground.sorted_sides()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])

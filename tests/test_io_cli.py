@@ -543,6 +543,19 @@ def _last_line_of(code: str, cwd=None) -> str:
     return proc.stdout.splitlines()[-1]
 
 
+def test_cli_rotatable_counts_a_long_partial_period_in_seconds():
+    # 10^12 rows short of one period of r; counting them a block of 8,192 at
+    # a time did not finish in 10 s
+    src = str(Path(dtl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    huge = "1599999999999999,80000000,1600000000000001"
+    argv = ["rotatable", "--n", str(10**12), "--triple", huge]
+    proc = subprocess.run([sys.executable, "-m", "dtl.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 625_000_000
+
+
 def test_package_import_loads_no_submodule():
     # the package exports only __version__, so `import dtl` compiles nothing else
     code = "import sys, dtl; print(sorted(m for m in sys.modules if m.startswith('dtl.')))"

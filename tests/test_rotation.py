@@ -214,11 +214,17 @@ def test_count_rotatable_points_small():
 @pytest.mark.parametrize("int64_max_r", [_INT64_MAX_R, 0])
 def test_count_rotatable_points_matches_the_points(monkeypatch, int64_max_r):
     triples = enum_primitive_triples(100)
-    # a limit of 0 sends every triple through the object-array path
+    # the count is exact on Python ints, so neither limit selects a path
     monkeypatch.setattr(rotation, "_INT64_MAX_R", int64_max_r)
     for t in triples:
         for n in range(1, 61):
             assert count_rotatable_points(n, t) == len(rotatable_points(n, t))
+
+
+@given(st.integers(0, 200), st.integers(1, 10**6), st.integers(-10**7, 10**7),
+       st.integers(-10**7, 10**7))
+def test_floor_sum_matches_the_plain_sum(n, m, a, b):
+    assert rotation._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
 
 
 def test_count_rotatable_points_holds_no_points():
@@ -236,6 +242,11 @@ def test_count_rotatable_points_holds_no_points():
     # (55200, 1) and (55199, 55201) are rotatable
     assert count_rotatable_points(60_000, big) == len(rotatable_points(60_000, big)) == 3
     assert count_rotatable_points(10**20, T345) == 10**40 // 5
+    # 10^12 rows, all short of one period of r: with m = 4*10^7, r = m^2 + 1
+    # and c = m (mod r), row b = x*m + y holds the point (y*m - x) mod r,
+    # below n for x = y = 0, for y in [1, 24999] and for y = 25000, x >= 1
+    huge = PythTriple(1_599_999_999_999_999, 80_000_000, 1_600_000_000_000_001)
+    assert count_rotatable_points(10**12, huge) == 1 + 24_999 * 25_000 + 24_999 == 625_000_000
 
 
 def test_point_bound_table():
